@@ -10,7 +10,10 @@ demands that
 * the run terminates (a hung recovery would trip the per-cell watchdog),
 * every application completes its full bag,
 * no pending losses are left pooled (every destroyed task instance was
-  reclaimed into the repository and re-executed).
+  reclaimed into the repository and re-executed),
+* the run stays within ``MAX_EVENTS_PER_TASK`` calendar events per task:
+  recovery work must grow with tasks and faults, not with virtual time
+  (a timer that re-arms with nothing to observe breaks this first).
 
 Exit status 0 iff every cell passes.  Usage::
 
@@ -36,6 +39,9 @@ from repro.protocols import ProtocolConfig
 TOPOLOGIES = ("tree", "star", "chain", "leafspine")
 APP_COUNTS = (1, 3)
 CONFIG = ProtocolConfig.interruptible(3)
+#: Cells peak below 20 events per task; a liveness sweep re-armed every
+#: ``request_timeout`` until completion once drove them to ~72,000.
+MAX_EVENTS_PER_TASK = 100
 
 
 def _platform(topology: str, seed: int):
@@ -46,8 +52,9 @@ def _platform(topology: str, seed: int):
     return generate_platform(topology, seed=seed)
 
 
-def soak_cell(topology: str, seed: int, apps: int, tasks: int) -> str:
-    """Run one cell; returns "" on success, a failure description else."""
+def soak_cell(topology: str, seed: int, apps: int, tasks: int):
+    """Run one cell; returns ``(problem, events per task)`` where the
+    problem is "" on success and a failure description else."""
     platform = _platform(topology, seed)
     schedule = chaos_schedule(platform, seed=seed * 1000 + 17, events=6)
     if apps == 1:
@@ -72,7 +79,11 @@ def soak_cell(topology: str, seed: int, apps: int, tasks: int) -> str:
     total = sum(len(a.completion_times) for a in result.apps)
     if total != result.num_tasks:
         problems.append(f"merged completions {total}/{result.num_tasks}")
-    return "; ".join(problems)
+    per_task = result.events_processed / max(result.num_tasks, 1)
+    if per_task > MAX_EVENTS_PER_TASK:
+        problems.append(f"{per_task:.1f} events per task exceeds the "
+                        f"bound of {MAX_EVENTS_PER_TASK}")
+    return "; ".join(problems), per_task
 
 
 def main() -> int:
@@ -90,18 +101,22 @@ def main() -> int:
             for apps in APP_COUNTS:
                 cells += 1
                 start = time.time()
+                per_task = float("nan")
                 try:
-                    problem = soak_cell(topology, seed, apps, args.tasks)
+                    problem, per_task = soak_cell(topology, seed, apps,
+                                                  args.tasks)
                 except Exception as exc:  # invariant violations land here
                     problem = f"{type(exc).__name__}: {exc}"
                 elapsed = time.time() - start
                 ok = not problem
                 failures += not ok
                 print(f"seed={seed:<2} {topology:<9} apps={apps} "
-                      f"{'ok' if ok else 'FAILED'} ({elapsed:.1f}s)")
+                      f"{'ok' if ok else 'FAILED'} ({elapsed:.1f}s, "
+                      f"{per_task:.1f} events/task)")
                 if problem:
                     print(f"  {problem}")
-    print(f"\n{cells - failures}/{cells} chaos cells conserved their bags")
+    print(f"\n{cells - failures}/{cells} chaos cells conserved their bags "
+          f"within {MAX_EVENTS_PER_TASK} events per task")
     return 1 if failures else 0
 
 

@@ -92,7 +92,7 @@ class NodeAgent:
         "computed", "max_buffers_seen", "max_held_seen",
         "transfers_started", "preemptions",
         "alive", "link_down", "deferred_requests", "suspect",
-        "probe_timers", "sweep_timer",
+        "probe_timers", "sweep_timer", "sweep_anchor",
         "request_timeout", "max_retries", "backoff_factor",
     )
 
@@ -157,6 +157,7 @@ class NodeAgent:
         self.suspect = _NO_SUSPECTS  # child ids frozen out of the schedule
         self.probe_timers: Optional[Dict[int, object]] = None
         self.sweep_timer = None
+        self.sweep_anchor = None  # time the sweep grid starts from
         self.request_timeout = config.request_timeout
         self.max_retries = config.max_retries
         self.backoff_factor = config.backoff_factor
@@ -671,24 +672,59 @@ class NodeAgent:
             self.try_send()
 
     def _start_sweep(self) -> None:
-        self.sweep_timer = self.env.call_in(
-            self.request_timeout, self._liveness_sweep)
+        """Anchor the liveness-sweep grid at ``now``: sweeps may fall at
+        ``now + k * request_timeout`` for ``k >= 1``.  Nothing is
+        scheduled unless a fault already left a child unreachable (an
+        application lane arriving after the fault)."""
+        self.sweep_anchor = self.env.now
+        self._arm_sweep()
+
+    def _arm_sweep(self) -> None:
+        """Put the next grid point on the calendar — ``now`` itself when
+        it lies on the grid — if some unsuspected child is unreachable.
+
+        Fault handlers are the only code that makes a child unreachable,
+        and each calls this afterwards.  So no sweep that could change
+        nothing is ever scheduled, and each fault is still caught at the
+        grid time a sweep re-armed every ``request_timeout`` would have
+        caught it.
+        """
+        if self.sweep_timer is not None or not self.alive:
+            return
+        anchor = self.sweep_anchor
+        engine = self.engine
+        # An application lane that has not arrived yet has no grid; its
+        # :meth:`_start_sweep` arms it on arrival.
+        if anchor is None or engine.completed >= engine.num_tasks:
+            return
+        suspect = self.suspect
+        for child in self.children:
+            if child.id not in suspect and (not child.alive
+                                            or child.link_down):
+                break
+        else:
+            return
+        timeout = self.request_timeout
+        steps = max(1, -((anchor - self.env.now) // timeout))
+        self.sweep_timer = self.env.call_at(anchor + steps * timeout,
+                                            self._liveness_sweep)
 
     def _liveness_sweep(self) -> None:
-        """Periodic liveness check of the children (the request-timeout
-        clock): any unreachable non-suspect child enters suspicion even if
-        no send to it happened to fail first."""
+        """Liveness check of the children on the request-timeout grid: any
+        unreachable non-suspect child enters suspicion even if no send to
+        it happened to fail first.  That leaves no child for a later sweep
+        to catch, so the sweep does not re-arm itself; the next fault
+        arms the next one."""
         self.sweep_timer = None
         if not self.alive:
             return
         engine = self.engine
         if engine.completed >= engine.num_tasks:
-            return  # stop rescheduling so the run can terminate
+            return
         for child in self.children:
             if (child.id not in self.suspect
                     and (not child.alive or child.link_down)):
                 self._mark_suspect(child)
-        self._start_sweep()
 
     # -------------------------------------------------------- warp support
     def fingerprint_state(self, now) -> tuple:

@@ -84,8 +84,9 @@ class ProtocolConfig:
     #: the undamped literal reading.
     growth_cooldown: bool = True
     #: Liveness-probe period (virtual time) of the fault-recovery protocol:
-    #: parents check each child's reachability this often while a
-    #: :class:`~repro.platform.faults.FaultSchedule` is active.  Ignored
+    #: while a :class:`~repro.platform.faults.FaultSchedule` is active, a
+    #: parent's liveness sweeps fall on a grid of this period (scheduled
+    #: only while a child is unreachable and not yet suspected).  Ignored
     #: (no probes, no timers) when the run has no fault schedule.
     request_timeout: int = 50
     #: Consecutive failed probes before a suspect child is declared dead

@@ -350,6 +350,8 @@ class ProtocolEngine:
             self.crashed_node_ids.append(agent.id)
             if self._recorder is not None:
                 self._recorder.record(self.env.now, _trace.CRASH, agent.id)
+        if parent is not None:
+            parent._arm_sweep()
         self.crash_times.append(self.env.now)
         self._pending_lost[victim.id] = (
             self._pending_lost.get(victim.id, 0) + pending)
@@ -387,6 +389,7 @@ class ProtocolEngine:
                 self._pending_lost.get(agent.id, 0) + 1)
             parent._mark_suspect(agent)
             parent.try_send()
+        parent._arm_sweep()
         if self.check_invariants:
             self._check_conservation()
 
@@ -527,7 +530,9 @@ class ProtocolEngine:
             agent.try_send()
         if self.faults:
             # Liveness sweeps only exist when faults can happen, so a
-            # fault-free run keeps a bit-identical event calendar.
+            # fault-free run keeps a bit-identical event calendar; even
+            # then a sweep is scheduled only once a fault handler leaves a
+            # child unreachable.
             for agent in self.nodes:
                 agent._start_sweep()
         if self.service_driver is not None:

@@ -433,7 +433,9 @@ class GraphFaultDriver:
 
     def _kick(self) -> None:
         """Deterministic full scheduling pass: every alive agent, in
-        (lane, overlay id) order, reconsiders its port."""
+        (lane, overlay id) order, reconsiders its port; then every agent
+        the fault left with an unreachable child arms its liveness
+        sweep."""
         for lane in self.lanes:
             for agent in lane.nodes:
                 if not agent.alive:
@@ -442,6 +444,9 @@ class GraphFaultDriver:
                     agent.try_send()
                 elif agent.interruptible:
                     agent._maybe_preempt()
+        for lane in self.lanes:
+            for agent in lane.nodes:
+                agent._arm_sweep()
 
     def _check(self) -> None:
         if self.check_invariants:
@@ -534,8 +539,9 @@ class GraphProtocolEngine(ProtocolEngine):
             driver.arm(self.env)
         super()._arm()
         if driver is not None:
-            # Liveness sweeps (base class arms them only for its own tree
-            # fault path, which is inert here).
+            # Anchor the liveness-sweep grids (the base class does so only
+            # for its own tree fault path, which is inert here); the
+            # driver arms a sweep after each fault that needs one.
             for agent in self.nodes:
                 agent._start_sweep()
 

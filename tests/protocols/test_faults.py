@@ -1,6 +1,7 @@
 """Fault injection and autonomous recovery (crashes, link outages)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlatformError, ProtocolError
 from repro.metrics.faults import (post_recovery_rate, recovery_latencies,
@@ -8,8 +9,9 @@ from repro.metrics.faults import (post_recovery_rate, recovery_latencies,
 from repro.platform import (ChurnSchedule, CrashEvent, FaultSchedule,
                             JoinEvent, LeaveEvent, LinkFailureEvent,
                             LinkRepairEvent, Mutation, MutationSchedule,
-                            PlatformTree, figure1_tree)
-from repro.platform.generator import PAPER_DEFAULTS, generate_tree
+                            PlatformTree, figure1_tree, figure2a_tree)
+from repro.platform.generator import (PAPER_DEFAULTS, TreeGeneratorParams,
+                                      generate_tree)
 from repro.protocols import (PriorityRule, ProtocolConfig, ProtocolEngine,
                              simulate)
 from repro.protocols import trace as trace_mod
@@ -18,6 +20,8 @@ from repro.steady_state import solve_tree
 
 IC3 = ProtocolConfig.interruptible(3)
 NON_IC = ProtocolConfig.non_interruptible()
+SMALL = TreeGeneratorParams(min_nodes=2, max_nodes=20, max_comm=10,
+                            max_comp=60)
 
 #: The headline scenario: the subtree rooted at node 2 (nodes 2, 3, 4 of
 #: the Figure 1 platform) crashes mid-run and node 5's parent link drops
@@ -231,6 +235,42 @@ class TestRecoverySemantics:
         faults = FaultSchedule([CrashEvent(at_time=10, node=99)])
         with pytest.raises(ProtocolError, match="unknown node"):
             simulate(figure1_tree(), IC3, 100, faults=faults)
+
+
+class TestEventBound:
+    """A fault costs events in proportion to what it disturbs, not to how
+    long the run lasts after it: liveness sweeps run only while an
+    unsuspected child is unreachable."""
+
+    @pytest.mark.parametrize("event", [
+        CrashEvent(at_time=150, node=2),
+        # Never repaired: the child stays suspected, then declared dead.
+        LinkFailureEvent(at_time=150, node=1),
+    ], ids=["crash", "permanent-link-failure"])
+    def test_figure2a_long_tail(self, event):
+        # The root's last compute ends near t=1e9, so a sweep re-armed
+        # every request_timeout until completion ran ~2e7 times per parent.
+        result = simulate(figure2a_tree(), IC3, 2000,
+                          faults=FaultSchedule([event]))
+        assert sum(result.per_node_computed) == 2000
+        assert result.events_processed <= 3 * 2000
+
+    @given(seed=st.integers(0, 10_000), num_tasks=st.integers(20, 150),
+           crash=st.booleans(), at_time=st.integers(0, 3000),
+           config=st.sampled_from([IC3, NON_IC]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_tree_single_fault(self, seed, num_tasks, crash, at_time,
+                                      config, data):
+        tree = generate_tree(SMALL, seed=seed)
+        node = data.draw(st.integers(1, tree.num_nodes - 1), label="node")
+        event = (CrashEvent if crash else LinkFailureEvent)(
+            at_time=at_time, node=node)
+        result = simulate(tree, config, num_tasks,
+                          faults=FaultSchedule([event]),
+                          check_invariants=True)
+        assert sum(result.per_node_computed) == num_tasks
+        assert len(result.completion_times) == num_tasks
+        assert result.events_processed <= 20 * num_tasks
 
 
 class TestDeterminism:
