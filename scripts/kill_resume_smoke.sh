@@ -20,16 +20,32 @@ echo "== reference run (workers=1, no checkpointing)"
 python -m repro "${ARGS[@]}" --workers 1 --out "$WORKDIR/reference.txt"
 
 echo "== checkpointed run (workers=4), SIGKILL after ${KILL_AFTER}s"
-python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \
+# setsid gives the CLI and its pool workers a process group of their own.
+# A background job of a non-interactive shell is not a group leader, so
+# setsid execs in place and the group id is the victim's pid.
+setsid python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \
     --out "$WORKDIR/killed.txt" >/dev/null 2>&1 &
 VICTIM=$!
 sleep "$KILL_AFTER"
-if kill -KILL "$VICTIM" 2>/dev/null; then
-    echo "   killed pid $VICTIM mid-run"
+# Kill the whole group: SIGKILL to the CLI alone would orphan its workers.
+if kill -KILL -- "-$VICTIM" 2>/dev/null; then
+    echo "   killed process group $VICTIM mid-run"
 else
     echo "   run finished before the kill landed (resume is a pure replay)"
 fi
 wait "$VICTIM" 2>/dev/null || true
+
+# No process of the group may outlive the kill (give the kernel 10 s).
+for _ in $(seq 100); do
+    kill -0 -- "-$VICTIM" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 -- "-$VICTIM" 2>/dev/null; then
+    echo "FAIL: processes of group $VICTIM outlived the kill:" >&2
+    ps -o pid=,args= -g "$VICTIM" >&2 || true
+    exit 1
+fi
+echo "   no process of group $VICTIM survived"
 
 echo "== resumed run (workers=4, --resume)"
 python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \

@@ -126,7 +126,8 @@ def simulation_report(platform, protocol: str, tasks: int,
                       faults=None,
                       check_invariants: bool = False,
                       arrivals=None,
-                      admission=None) -> str:
+                      admission=None,
+                      warp: bool = False) -> str:
     """Run a named protocol preset on the platform and report the outcome.
 
     With ``telemetry`` set the run carries probes and the report gains
@@ -152,6 +153,9 @@ def simulation_report(platform, protocol: str, tasks: int,
     ``admission`` (spec string for
     :func:`~repro.service.parse_admission`, or a policy), and the report
     gains latency/drop SLO rows.
+
+    ``warp`` turns on the steady-state warp; the report gains a ``warp``
+    row with its outcome.
     """
     if protocol not in PROTOCOL_PRESETS:
         raise ExperimentError(
@@ -181,6 +185,8 @@ def simulation_report(platform, protocol: str, tasks: int,
     config = PROTOCOL_PRESETS[protocol]
     if telemetry is not None:
         config = replace(config, telemetry=telemetry)
+    if warp:
+        config = replace(config, warp=True)
     if isinstance(faults, int):
         from ..platform.faults import chaos_schedule
 
@@ -284,6 +290,13 @@ def simulation_report(platform, protocol: str, tasks: int,
                 ["post-recovery fairness",
                  fmt_num(post, 4) if post is not None else "-"],
             ])
+    summary = result.warp
+    if summary is not None:
+        rows.append(["warp",
+                     f"{'applied' if summary.applied else 'not applied'} "
+                     f"({summary.reason}), {summary.fingerprints_taken} "
+                     f"fingerprints taken, {summary.periods} periods "
+                     f"skipped"])
     snapshot = result.telemetry
     if snapshot is not None:
         util = snapshot.utilization()

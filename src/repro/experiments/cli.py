@@ -360,7 +360,8 @@ def _run_tree_command(args) -> str:
         faults=getattr(args, "faults", None),
         check_invariants=getattr(args, "check_invariants", False),
         arrivals=getattr(args, "arrivals", None),
-        admission=getattr(args, "admission", None))
+        admission=getattr(args, "admission", None),
+        warp=getattr(args, "warp", False))
 
 
 def main(argv: Optional[list] = None) -> int:

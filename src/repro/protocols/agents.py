@@ -53,6 +53,13 @@ _NO_SUSPECTS: frozenset = frozenset()
 #: priority tuple, recomputed only when a weight actually mutates.
 _PRIO_KEY = attrgetter("prio_key")
 
+#: The scalar slots of :meth:`NodeAgent.fingerprint_state`, read in one call.
+_FINGERPRINT_SCALARS = attrgetter(
+    "tasks_held", "requested", "incoming", "child_requests", "buffers_total",
+    "cpu_busy", "growth", "growth_armed", "decay", "decay_pending",
+    "surplus_streak", "idle_arrival_streak", "deferred_requests", "departed",
+    "alive", "link_down", "max_buffers_seen", "max_held_seen")
+
 
 class Transfer:
     """One task in flight from ``parent`` to ``child`` (possibly shelved)."""
@@ -744,18 +751,15 @@ class NodeAgent:
             started = transfer.started_at
             current = (transfer.child.id, transfer.remaining,
                        None if started is None else now - started)
+        shelf = self.shelf
         return (
-            self.tasks_held, self.requested, self.incoming,
-            self.child_requests, self.buffers_total, self.cpu_busy,
-            self.growth, self.growth_armed, self.decay, self.decay_pending,
-            self.surplus_streak, self.idle_arrival_streak,
-            self.deferred_requests, self.departed, self.alive,
-            self.link_down, self.max_buffers_seen, self.max_held_seen,
+            _FINGERPRINT_SCALARS(self),
             current,
-            tuple(sorted((cid, t.remaining) for cid, t in self.shelf.items())),
+            tuple(sorted([(cid, t.remaining) for cid, t in shelf.items()]))
+            if shelf else (),
             (None if self.fifo_queue is None
-             else tuple(a.id for a in self.fifo_queue)),
-            tuple(sorted(self.suspect)),
+             else tuple([a.id for a in self.fifo_queue])),
+            tuple(sorted(self.suspect)) if self.suspect else (),
         )
 
     def __repr__(self) -> str:  # pragma: no cover

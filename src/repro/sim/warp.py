@@ -11,15 +11,22 @@ the run with multiplication.
 
 How it works
 ------------
-At every task completion the :class:`WarpController` takes a **canonical
-fingerprint** of the simulation: the completing node's id, every agent's
-:meth:`~repro.protocols.agents.NodeAgent.fingerprint_state` view, and the
-live calendar entries as ``(time - now, priority, owner, callback,
-canonical args)`` tuples.  Monotone counters (virtual time, completed
-tasks, the root's repository, per-node tallies) are deliberately
-*excluded* — they grow forever and never influence a scheduling decision
-except at the repository-exhaustion boundary, which the warp guard keeps
-out of the skipped span.
+At sampled task completions the :class:`WarpController` takes a
+**canonical fingerprint** of the simulation: the completing node's id,
+every agent's :meth:`~repro.protocols.agents.NodeAgent.fingerprint_state`
+view, and the live calendar entries as ``(time - now, priority, owner,
+callback, canonical args)`` tuples.  Monotone counters (virtual time,
+completed tasks, the root's repository, per-node tallies) are
+deliberately *excluded* — they grow forever and never influence a
+scheduling decision except at the repository-exhaustion boundary, which
+the warp guard keeps out of the skipped span.
+
+The search pays for itself or backs off.  Each fingerprint charges its
+work — agents visited plus calendar entries canonicalized — and whenever
+the running charge exceeds :data:`COST_ALLOWANCE` plus the events the run
+has dispatched, the sampling stride doubles.  Large trees with no
+recurrence in sight therefore sample ever more sparsely, and the search's
+work stays near the allowance plus the run's own event count.
 
 When a fingerprint recurs, the deterministic kernel guarantees the run is
 exactly periodic from the first occurrence on: the same event sequence
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify
+from itertools import repeat
 from typing import Optional, Set, TYPE_CHECKING
 
 from .core import Timer, _Entry
@@ -65,6 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
 
 __all__ = ["WarpSummary", "WarpController", "LEDGER_CAP", "FAR_HORIZON",
+           "COST_ALLOWANCE",
            "REASON_CONTENTION", "REASON_DYNAMIC", "REASON_TRACING",
            "REASON_TELEMETRY", "REASON_MULTI_APP", "REASON_GRAPH_FAULTS",
            "REASON_OPEN_LOOP", "STAND_DOWN_REASONS"]
@@ -100,6 +109,17 @@ STAND_DOWN_REASONS = frozenset({
 #: Fingerprints remembered before the search is abandoned.  A run whose
 #: period is not found within this many completions simply stays exact.
 LEDGER_CAP = 8192
+
+#: Fingerprint work (agents visited plus calendar entries canonicalized)
+#: the search may spend beyond the events the run itself has dispatched
+#: before the sampling stride starts doubling.  Sized so short periods are
+#: found while the stride is still 1: with 4,096 the stride grew too early
+#: and the 1M-arrival periodic service day found a 64-task period instead
+#: of its 4-task one.
+COST_ALLOWANCE = 16_384
+
+#: Periods of completion times the warp replays per slice assignment.
+_REPLAY_CHUNK = 4096
 
 #: Pending timers with more than this much virtual time left are treated as
 #: *background* activities (e.g. the root's effectively-infinite first
@@ -210,7 +230,7 @@ class WarpController:
     """
 
     __slots__ = ("engine", "env", "_ledger", "_armed", "_active", "_count",
-                 "_stride", "_taken", "summary")
+                 "_stride", "_taken", "_charged", "summary")
 
     def __init__(self, engine: "ProtocolEngine"):
         self.engine = engine
@@ -228,15 +248,20 @@ class WarpController:
         self._armed: Optional[tuple] = None
         self._active = True
         self._count = 0
-        #: Only every ``_stride``-th completion is fingerprinted; doubles
-        #: every 1024 fingerprints so a run with a long (or no) period pays
-        #: a bounded, shrinking overhead instead of a constant tax.  Anchors
-        #: stay aligned to period phases: sampled completions are multiples
-        #: of the stride, and every residue class contains multiples of any
-        #: period length, so recurrences are still found — at worst the
-        #: detected period is a small multiple of the true one.
+        #: Only every ``_stride``-th completion is fingerprinted.  The
+        #: stride doubles (at most once per fingerprint) whenever the work
+        #: charged so far exceeds ``COST_ALLOWANCE`` plus the events the
+        #: run has dispatched, so a run with a long (or no) period pays an
+        #: overhead proportional to its own work instead of a constant tax
+        #: per completion.  Anchors stay aligned to period phases: the
+        #: stride is a power of two, sampled completions are multiples of
+        #: it, and every residue class contains multiples of any period
+        #: length, so recurrences are still found — at worst the detected
+        #: period is a small multiple of the true one.
         self._stride = 1
         self._taken = 0
+        #: Fingerprint work charged so far (agents plus calendar entries).
+        self._charged = 0
         self.summary: Optional[WarpSummary] = None
 
     # ------------------------------------------------------------ lifecycle
@@ -290,6 +315,8 @@ class WarpController:
             return
         state, far = snapshot
         self._taken += 1
+        env = self.env
+        self._charged += len(engine.nodes) + len(env._heap)
         digest = hash(state)
         armed = self._armed
         if armed is not None:
@@ -301,7 +328,6 @@ class WarpController:
             # this one full state tuple and snapshot and wait for the state
             # to come round once more, measuring exact per-period deltas
             # between two *consecutive* occurrences.
-            env = self.env
             self._armed = (digest, state, _Record(
                 engine.completed, env._now, root.undispensed,
                 env.processed_count,
@@ -320,8 +346,8 @@ class WarpController:
             self._finish(False, "ledger cap reached without a recurrence")
             return
         self._ledger.add(digest)
-        if self._taken % 1024 == 0:
-            self._stride = min(self._stride * 2, 64)
+        if self._charged > COST_ALLOWANCE + env.processed_count:
+            self._stride *= 2
 
     # ---------------------------------------------------------- fingerprint
     def _fingerprint(self, anchor_id: int):
@@ -341,8 +367,7 @@ class WarpController:
         env = self.env
         now = env._now
         parts = [anchor_id, engine.buffer_high_water, engine.held_high_water]
-        for agent in engine.nodes:
-            parts.append(agent.fingerprint_state(now))
+        parts.extend([agent.fingerprint_state(now) for agent in engine.nodes])
         driver = engine.service_driver
         if driver is not None:
             # Open-loop state that must recur for true periodicity: the
@@ -457,13 +482,29 @@ class WarpController:
         if engine.record_completion_times:
             times = engine.completion_times
             template = times[prev.completed:]
-            for j in range(1, k + 1):
-                offset = j * dt
-                times.extend(t + offset for t in template)
+            if type(dt) is int and all(type(t) is int for t in template):
+                # In place: grow the list once, then fill each template
+                # slot's copies by extended-slice assignment, at most
+                # _REPLAY_CHUNK periods at a time (the assignment turns
+                # its range into a temporary list of that length).
+                first = len(times)
+                step = len(template)
+                times.extend(repeat(0, k * step))
+                for lo in range(0, k, _REPLAY_CHUNK):
+                    hi = min(lo + _REPLAY_CHUNK, k)
+                    end = first + hi * step
+                    for slot, t in enumerate(template, first + lo * step):
+                        times[slot:end:step] = range(
+                            t + (lo + 1) * dt, t + (hi + 1) * dt, dt)
+            else:
+                for j in range(1, k + 1):
+                    offset = j * dt
+                    times.extend(t + offset for t in template)
         if engine.record_buffer_timeline:
             engine.buffer_timeline.extend(
-                [engine.buffer_high_water] * skipped)
-            engine.held_timeline.extend([engine.held_high_water] * skipped)
+                repeat(engine.buffer_high_water, skipped))
+            engine.held_timeline.extend(
+                repeat(engine.held_high_water, skipped))
         engine.last_completion_time = now + shift
 
         # Monotone counters jump by k times their per-period delta.

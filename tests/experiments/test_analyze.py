@@ -75,6 +75,27 @@ class TestCliIntegration:
                      "--tasks", "300"]) == 0
         assert "IC, FB=1" in capsys.readouterr().out
 
+    def test_simulate_warp_flag_reaches_the_run(self, tree_file, capsys):
+        args = ["simulate", "--tree", tree_file, "--protocol", "ic3",
+                "--tasks", "3000"]
+        assert main(args) == 0
+        exact = capsys.readouterr().out
+        assert main(args + ["--warp"]) == 0
+        warped = capsys.readouterr().out.splitlines()
+        rows = [line for line in warped if line.startswith("warp ")]
+        assert len(rows) == 1
+        assert "applied (warped)" in rows[0]
+        assert "fingerprints taken" in rows[0]
+        assert "periods skipped" in rows[0]
+        # Apart from that row (which widens the table), the warped report
+        # is the exact one.
+        def cells(lines):
+            return [line.split() for line in lines
+                    if not line.startswith("warp ")
+                    and line.strip(" -")]
+
+        assert cells(warped) == cells(exact.splitlines())
+
     def test_missing_tree_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["analyze"])

@@ -17,11 +17,14 @@ from fractions import Fraction
 import pytest
 
 from repro import simulate
+from repro.experiments.fig4 import FIG4_CONFIGS
 from repro.metrics import node_utilization, steady_state_rate
 from repro.platform.examples import figure2a_tree
 from repro.platform.faults import CrashEvent, FaultSchedule
-from repro.platform.generator import TreeGeneratorParams, generate_tree
+from repro.platform.generator import (PAPER_DEFAULTS, TreeGeneratorParams,
+                                      generate_tree)
 from repro.platform.mutation import Mutation, MutationSchedule
+from repro.platform.tree import PlatformTree
 from repro.protocols import ProtocolConfig, Tracer
 from repro.protocols.engine import ProtocolEngine
 from repro.sim.warp import LEDGER_CAP, FAR_HORIZON, WarpSummary
@@ -88,6 +91,17 @@ class TestWarpedEqualsExact:
         # the far-horizon split).
         assert figure2a_tree().w[0] > FAR_HORIZON
         assert warped.makespan == exact.makespan
+
+    def test_fractional_weights_warp_exactly(self):
+        # Non-integer times take the generic timeline replay.
+        tree = PlatformTree(
+            [Fraction(7, 2), Fraction(3, 2), 2, Fraction(5, 3)],
+            [(0, 1, Fraction(1, 2)), (0, 2, 1), (1, 3, Fraction(2, 3))])
+        exact = simulate(tree, 3000, IC3)
+        warped = simulate(tree, 3000, IC3_WARP)
+        assert warped.warp.applied
+        assert type(warped.warp.period_time) is Fraction
+        assert warped.fingerprint() == exact.fingerprint()
 
     def test_warp_off_by_default_leaves_no_summary(self):
         result = simulate(figure2a_tree(), 300, IC3)
@@ -158,6 +172,47 @@ class TestGuards:
         summary = WarpSummary(applied=False, reason="x")
         with pytest.raises(AttributeError):
             summary.applied = True
+
+
+class TestSearchCost:
+    """The period search is bounded by the run's own work, and bounding it
+    moves neither the period found nor the warp applied."""
+
+    @pytest.mark.parametrize("config", FIG4_CONFIGS,
+                             ids=lambda config: config.label)
+    def test_paper_tree_search_stays_cheap(self, config):
+        # A 2000-task run on a paper tree never recurs; a constant stride
+        # schedule took 1,328-1,486 fingerprints here.
+        tree = generate_tree(PAPER_DEFAULTS, seed=3)
+        exact = simulate(tree, 2000, config)
+        warped = simulate(tree, 2000, replace(config, warp=True))
+        assert warped.fingerprint() == exact.fingerprint()
+        assert not warped.warp.applied
+        assert warped.warp.fingerprints_taken <= 300
+
+    def test_million_task_warp_is_pinned(self):
+        tree = generate_tree(TreeGeneratorParams(
+            min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
+            comp_divisor=16), seed=1)
+        summary = simulate(tree, 1_000_000, IC3_WARP).warp
+        assert summary.applied
+        assert (summary.periods, summary.period_tasks,
+                summary.warp_completed, summary.events_skipped) == (
+                    199995, 5, 14, 2199945)
+
+    def test_replayed_timeline_matches_exact(self):
+        # The in-place replay fills each template slot's copies by slice
+        # assignments of up to 4096 periods; over ~10k periods (two full
+        # chunks and a partial one) every replicated time must land where
+        # the exact run put it.
+        tree = generate_tree(TreeGeneratorParams(
+            min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
+            comp_divisor=16), seed=1)
+        exact = simulate(tree, 50_000, IC3)
+        warped = simulate(tree, 50_000, IC3_WARP)
+        assert warped.warp.applied and warped.warp.period_tasks > 1
+        assert warped.warp.periods > 2 * 4096
+        assert warped.completion_times == exact.completion_times
 
 
 class TestCompletionTimeGate:

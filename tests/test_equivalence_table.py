@@ -213,6 +213,10 @@ def test_million_arrival_day_keeps_memory_bounded():
     # The pending deque stays at queue scale, not stream scale.
     assert stats.pending_high_water <= 100_000
     assert None not in (stats.p50, stats.p95, stats.p99)
+    summary = result.warp
+    assert summary.applied
+    assert (summary.periods, summary.period_tasks, summary.warp_completed,
+            summary.events_skipped) == (209934, 4, 321, 2309274)
 
 
 if __name__ == "__main__":
