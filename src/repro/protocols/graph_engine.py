@@ -42,6 +42,7 @@ from ..platform.faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
                                LinkFailureEvent, SwitchCrashEvent)
 from ..platform.graph import Overlay, PlatformGraph
 from ..platform.tree import PlatformTree
+from ..sim.events import FastFraction
 from ..sim.warp import REASON_GRAPH_FAULTS
 from . import trace as _trace
 from .agents import NodeAgent, Transfer
@@ -53,9 +54,18 @@ __all__ = ["GraphNodeAgent", "GraphProtocolEngine", "GraphFaultDriver"]
 
 
 def _leg_duration(volume, rate):
-    """Time to drain ``volume`` at ``rate``, exactly (never float)."""
-    if not isinstance(volume, Fraction):
-        volume = Fraction(volume)
+    """Time to drain ``volume`` at ``rate``, exactly (never float).
+
+    A :class:`FastFraction` rate (every rate the contention manager
+    hands out that is not an int) keeps the result one too.
+    """
+    cls = volume.__class__
+    if cls is int:
+        if rate.__class__ is int:
+            whole, rest = divmod(volume, rate)
+            return FastFraction(volume, rate) if rest else whole
+    elif cls is not FastFraction and not isinstance(volume, Fraction):
+        volume = FastFraction(volume)
     return _exact(volume / rate)
 
 

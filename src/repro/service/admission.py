@@ -22,9 +22,13 @@ States expose three methods the open-loop driver relies on:
     Translate any internal absolute timestamps forward by ``dt`` after
     a warp jump.
 
-Token-bucket arithmetic uses :class:`fractions.Fraction` so refill at
-e.g. 1/7 tokens per step is exact — float drift would eventually
-desynchronize the warp's replayed periods from an exact run.
+Token-bucket arithmetic is exact so refill at e.g. 1/7 tokens per step
+never drifts — float drift would eventually desynchronize the warp's
+replayed periods from an exact run.  The frozen spec keeps its rate a
+stdlib :class:`fractions.Fraction` (its repr feeds checkpoint digests);
+the per-run state holds rate and tokens as the simulator's
+:class:`~repro.sim.events.FastFraction`, which skips the stdlib's ABC
+dispatch on the once-per-arrival refill.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from ..sim.events import FastFraction
 
 __all__ = ["AdmissionPolicy", "AlwaysAdmit", "QueueDepthBound",
            "TokenBucket", "parse_admission"]
@@ -132,18 +138,19 @@ class _TokenState:
     __slots__ = ("rate", "burst", "tokens", "last")
 
     def __init__(self, rate, burst):
-        self.rate = rate
-        self.burst = burst
-        self.tokens = Fraction(burst)  # starts full
+        self.rate = FastFraction(rate)
+        self.burst = FastFraction(burst)
+        self.tokens = self.burst  # starts full
         self.last = 0
 
     def admit(self, now, count, in_system):
         if now != self.last:
             tokens = self.tokens + self.rate * (now - self.last)
             burst = self.burst
-            self.tokens = Fraction(burst) if tokens > burst else tokens
+            self.tokens = burst if tokens > burst else tokens
             self.last = now
-        grant = int(self.tokens)
+        tokens = self.tokens
+        grant = tokens._numerator // tokens._denominator
         if grant > count:
             grant = count
         if grant:

@@ -12,8 +12,9 @@ from repro.platform import figure1_tree, generate_platform
 from repro.platform.faults import CrashEvent, FaultSchedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.protocols.config import ProtocolConfig
-from repro.service import (PeriodicArrivals, PoissonArrivals, QueueDepthBound,
-                           TokenBucket)
+from repro.service import (DiurnalArrivals, PeriodicArrivals,
+                           PoissonArrivals, QueueDepthBound, TokenBucket)
+from repro.telemetry import TelemetryConfig
 from repro.sim.warp import REASON_OPEN_LOOP
 
 IC3 = ProtocolConfig.interruptible(3)
@@ -28,6 +29,28 @@ def service_invariants(stats):
     if stats.completed:
         assert stats.latency_total >= 0 and stats.latency_max >= 0
         assert None not in (stats.p50, stats.p95, stats.p99)
+
+
+class TestEventBound:
+    def test_idle_timers_stay_proportional_to_arrivals_and_tasks(self):
+        # A diurnal day on a 60-node tree.  The driver arms one timer per
+        # arrival event; everything else must be the protocol's own work,
+        # a few events per completed task, not timers that keep firing
+        # through the idle stretches between the phases (283,260 events
+        # against a bound of 405,491 here).
+        arrivals = DiurnalArrivals(rates=(0.05, 0.6, 0.15), phase_len=5000,
+                                   horizon=600_000, seed=3)
+        workload = Workload(arrivals=arrivals,
+                            admission=TokenBucket(rate="1/4", burst=64))
+        tree = generate_tree(TreeGeneratorParams(
+            min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
+            comp_divisor=16), seed=1)
+        config = dataclasses.replace(IC3, telemetry=TelemetryConfig())
+        result = simulate(tree, workload, config)
+        emitted = sum(1 for _ in arrivals.events())
+        assert result.service.completed > 0
+        assert (result.events_processed
+                <= emitted + 3 * result.service.completed)
 
 
 class TestClosedBagUnchanged:

@@ -1,10 +1,12 @@
 """Behaviour-neutrality and correctness of the telemetry probes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.metrics.usage import node_utilization
 from repro.platform import figure2a_tree
 from repro.platform.generator import TreeGeneratorParams, generate_tree
@@ -20,6 +22,21 @@ def run(tree, config, tasks=300):
 def tree():
     return generate_tree(TreeGeneratorParams(min_nodes=20, max_nodes=20),
                          seed=11)
+
+
+class TestEventBound:
+    def test_sampler_fires_grow_with_log_of_makespan(self):
+        # The Figure 2a tree's root computes until t=1e9: a sampler firing
+        # every sample_dt would fire 5e6 times for 2000 tasks.  Decimation
+        # halves the series and doubles the period each time they fill,
+        # so each doubling costs max_samples/2 more fires: O(max_samples
+        # * log T) in all (7268 fires here).
+        config = replace(ProtocolConfig.interruptible(3),
+                         telemetry=TelemetryConfig())
+        snapshot = simulate(figure2a_tree(), 2000, config).telemetry
+        cap, dt = config.telemetry.max_samples, config.telemetry.sample_dt
+        doublings = math.log2(snapshot.makespan / (dt * cap))
+        assert snapshot.samples <= cap * (2 + doublings)
 
 
 class TestBehaviourNeutrality:
