@@ -6,7 +6,9 @@ Two suites:
   protocol-engine runs and the contention-churn pair, reported as
   units/sec (events, tasks, or solver ops).
 * ``sweep``  — end-to-end figure experiments at smoke scale (fig4, fig7,
-  fault recovery), reported as tasks/sec and wall seconds per figure.
+  fault recovery), reported as tasks/sec and wall seconds per figure,
+  plus the tier-1 test suite (``tier1``: tests passed and wall seconds;
+  skipped when pytest or hypothesis is not installed).
 
 ``--json OUT`` writes the committed ``BENCH_kernel.json`` /
 ``BENCH_sweep.json`` trajectory files.  ``--check BASELINE`` compares the
@@ -26,12 +28,15 @@ and isolates genuine kernel regressions.
 
 import argparse
 import heapq
+import importlib.util
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 try:
     import repro  # noqa: F401 — probe only
@@ -181,26 +186,52 @@ def _sweep_faults():
     return scale.trees * scale.tasks
 
 
+def _sweep_tier1():
+    """``python -m pytest -x -q`` from the repository root; returns the
+    number of tests passed (``None`` without the test dependencies)."""
+    if not all(importlib.util.find_spec(m) for m in ("pytest", "hypothesis")):
+        return None
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "tier1.xml")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             f"--junitxml={report}"], cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"tier-1 suite failed:\n{proc.stdout[-4000:]}")
+        suite = ElementTree.parse(report).getroot().find("testsuite")
+    return int(suite.get("tests")) - int(suite.get("skipped"))
+
+
 SWEEP_WORKLOADS = [
-    ("fig4_smoke", _sweep_fig4),
-    ("fig7_smoke", _sweep_fig7),
-    ("faults_smoke", _sweep_faults),
+    ("fig4_smoke", _sweep_fig4, "tasks"),
+    ("fig7_smoke", _sweep_fig7, "tasks"),
+    ("faults_smoke", _sweep_faults, "tasks"),
+    ("tier1", _sweep_tier1, "tests"),
 ]
 
 
 def run_sweep_suite(repeats):
     records = []
-    for name, fn in SWEEP_WORKLOADS:
-        tasks, wall = _measure(lambda _: fn(), None, repeats)
+    for name, fn, unit_kind in SWEEP_WORKLOADS:
+        units, wall = _measure(lambda _: fn(), None, repeats)
+        if units is None:
+            print(f"  {name:<22} skipped (test dependencies not installed)")
+            continue
         records.append({
             "name": name,
-            "units": tasks,
-            "unit_kind": "tasks",
+            "units": units,
+            "unit_kind": unit_kind,
             "wall_s": round(wall, 6),
-            "per_sec": round(tasks / wall, 1),
+            "per_sec": round(units / wall, 1),
         })
-        print(f"  {name:<22} {tasks:>8} tasks   {wall:8.2f} s   "
-              f"{tasks / wall:>12,.0f} tasks/s")
+        print(f"  {name:<22} {units:>8} {unit_kind:<6}  {wall:8.2f} s   "
+              f"{units / wall:>12,.0f} {unit_kind}/s")
     return records
 
 

@@ -191,8 +191,9 @@ def run_engine_graph_faults(num_tasks: int = 2000) -> int:
     """The leaf-spine run under a seeded chaos fault schedule.
 
     Same fabric and overlay as ``run_engine_graph_leafspine``, plus the
-    routed fault path: flow kills on failed links, Dijkstra route
-    recomputation, overlay re-election after a rack-head crash, and
+    routed fault path: flow kills on failed links, route lookups
+    against the cached shortest-path searches, overlay re-election
+    after a rack-head crash, and
     suspect/probe recovery in the agents.  Paired with the fault-free
     workload so the baseline gate catches regressions in the fault
     plumbing itself, not just in the clean path.

@@ -16,7 +16,8 @@ fat-tree networks with max-min or fair-share bandwidth allocation).
   with the returned result on one full-duplex-free link);
 * **routing is static**: routes are shortest paths under summed link cost
   with deterministic tie-breaking (fewest hops, then lowest node id),
-  precomputed lazily into a route table;
+  searched lazily per source and kept across link faults while provably
+  still exact;
 * **contention** on shared links is resolved by the allocators in
   :mod:`repro.platform.contention` — progressive-filling max-min by
   default, or per-link fair share (``contention="fairshare"``).
@@ -103,7 +104,8 @@ class PlatformGraph:
     """
 
     __slots__ = ("w", "link_u", "link_v", "link_c", "adj", "root",
-                 "contention", "meta", "_route_cache", "link_up", "_degrade")
+                 "contention", "meta", "_route_cache", "_epoch", "link_up",
+                 "_degrade", "searches_started", "nodes_settled")
 
     def __init__(self, w: Sequence[Optional[Weight]],
                  links: Iterable[Tuple[int, int, Weight]], root: int = 0,
@@ -135,8 +137,13 @@ class PlatformGraph:
         self.root = root
         self.contention = contention
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
-        self._route_cache: Dict[int, Tuple[list, list]] = {}
+        self._route_cache: Dict[int, _Search] = {}
+        self._epoch = 0
         self._degrade: Dict[int, Fraction] = {}
+        #: Routing work counters (not part of equality): shortest-path
+        #: searches started, and nodes they settled.
+        self.searches_started = 0
+        self.nodes_settled = 0
 
         for u, v, cost in links:
             if not (0 <= u < n and 0 <= v < n):
@@ -212,71 +219,102 @@ class PlatformGraph:
         return sorted(set(range(self.num_nodes)) - seen)
 
     # ------------------------------------------------------------- routing
-    def _shortest_from(self, src: int) -> Tuple[list, list]:
-        """Deterministic Dijkstra: ``(prev_node, prev_link)`` arrays.
+    def _start_search(self, src: int) -> _Search:
+        search = self._route_cache[src] = _Search(src, len(self.w),
+                                                  self._epoch)
+        self.searches_started += 1
+        return search
+
+    def _settle(self, search: _Search, dst: Optional[int]) -> None:
+        """Resume ``search`` until ``dst`` is settled (``None``: until the
+        frontier is exhausted).
 
         Paths minimise summed link cost, then hop count; remaining ties
-        resolve toward lower node ids (the lowest-id frontier node relaxes
-        its neighbours first and later equal-cost paths never overwrite).
+        resolve toward lower node ids (nodes settle in (cost, hops, id)
+        order and later equal-key paths never overwrite).
         """
-        cached = self._route_cache.get(src)
-        if cached is not None:
-            return cached
-        n = self.num_nodes
-        dist: List[Optional[Tuple[Weight, int]]] = [None] * n
-        prev_node: List[Optional[int]] = [None] * n
-        prev_link: List[Optional[int]] = [None] * n
-        dist[src] = (0, 0)
-        heap: List[Tuple[Weight, int, int]] = [(0, 0, src)]
-        done = [False] * n
+        heap = search.heap
+        cost, hops, done = search.cost, search.hops, search.done
+        prev_link = search.prev_link
+        adj, link_c, link_up = self.adj, self.link_c, self.link_up
+        settled = 0
         while heap:
-            d, hops, u = heapq.heappop(heap)
+            d, h, u = heapq.heappop(heap)
             if done[u]:
                 continue
-            done[u] = True
-            for v in sorted(self.adj[u]):
-                if done[v]:
+            done[u] = 1
+            settled += 1
+            h += 1
+            for v, link in adj[u].items():
+                if done[v] or not link_up[link]:
                     continue
-                link = self.adj[u][v]
-                if not self.link_up[link]:
-                    continue
-                key = (d + self.link_c[link], hops + 1)
-                if dist[v] is None or key < dist[v]:
-                    dist[v] = key
-                    prev_node[v] = u
+                dv = d + link_c[link]
+                old = cost[v]
+                if old is None or dv < old or (dv == old and h < hops[v]):
+                    cost[v] = dv
+                    hops[v] = h
                     prev_link[v] = link
-                    heapq.heappush(heap, (key[0], key[1], v))
-        self._route_cache[src] = (prev_node, prev_link)
-        return prev_node, prev_link
+                    heapq.heappush(heap, (dv, h, v))
+            if u == dst:
+                break
+        if not heap:
+            search.heap = None
+        self.nodes_settled += settled
 
-    def route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Static route between two nodes as a tuple of link ids."""
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise PlatformError(f"route endpoints ({src}, {dst}) out of range")
-        prev_node, prev_link = self._shortest_from(src)
-        if dst != src and prev_node[dst] is None:
-            raise PlatformError(f"no route from {src} to {dst}")
+    def _walk(self, search: _Search, src: int,
+              dst: int) -> Optional[Tuple[int, ...]]:
+        """The settled path ``src → dst`` as link ids; ``None`` if one of
+        its links is down."""
+        prev_link, link_up = search.prev_link, self.link_up
+        link_u, link_v = self.link_u, self.link_v
         links: List[int] = []
         node = dst
         while node != src:
-            links.append(prev_link[node])
-            node = prev_node[node]
-        return tuple(reversed(links))
+            link = prev_link[node]
+            if not link_up[link]:
+                return None
+            links.append(link)
+            node = link_u[link] + link_v[link] - node
+        links.reverse()
+        return tuple(links)
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Static route between two nodes as a tuple of link ids."""
+        links = self.route_or_none(src, dst)
+        if links is None:
+            raise PlatformError(f"no route from {src} to {dst}")
+        return links
 
     def route_or_none(self, src: int, dst: int) -> Optional[Tuple[int, ...]]:
         """Like :meth:`route`, but ``None`` when ``dst`` is unreachable
         over the currently-up links (deterministic partition detection)."""
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
+        n = len(self.w)
+        if not (0 <= src < n and 0 <= dst < n):
             raise PlatformError(f"route endpoints ({src}, {dst}) out of range")
-        prev_node, prev_link = self._shortest_from(src)
-        if dst != src and prev_node[dst] is None:
+        if src == dst:
+            return ()
+        search = self._route_cache.get(src)
+        if search is not None and search.epoch != self._epoch:
+            # Searched before a fault: still exact for ``dst`` if its path
+            # is up and no repaired link can offer a key at or below its
+            # own (see :class:`_Search`).
+            if search.done[dst]:
+                bound = search.bound
+                if bound is None or (search.cost[dst],
+                                     search.hops[dst]) < bound:
+                    links = self._walk(search, src, dst)
+                    if links is not None:
+                        return links
+            elif search.heap is None and search.bound is None:
+                return None  # unreachable then, and no link came up since
+            search = None
+        if search is None:
+            search = self._start_search(src)
+        if not search.done[dst] and search.heap is not None:
+            self._settle(search, dst)
+        if not search.done[dst]:
             return None
-        links: List[int] = []
-        node = dst
-        while node != src:
-            links.append(prev_link[node])
-            node = prev_node[node]
-        return tuple(reversed(links))
+        return self._walk(search, src, dst)
 
     def route_cost(self, links: Sequence[int]) -> Weight:
         """Exclusive per-task transfer time of a route: its bottleneck
@@ -302,13 +340,18 @@ class PlatformGraph:
                                  or self.w[src] is None):
             raise PlatformError(
                 f"overlay root {src} is not a host of this platform")
-        prev_node, _prev_link = self._shortest_from(src)
+        search = self._route_cache.get(src)
+        if search is None or search.epoch != self._epoch:
+            search = self._start_search(src)
+        if search.heap is not None:
+            self._settle(search, None)
+        prev_link = search.prev_link
         parent_of: Dict[int, int] = {}
         routes: Dict[int, Tuple[int, ...]] = {}
         for h in self.hosts:
             if h == src:
                 continue
-            if prev_node[h] is None:
+            if prev_link[h] is None:
                 raise PlatformError(f"host {h} unreachable from host {src}")
             # Walk the shortest path back to the previous host; the route
             # is exactly that path suffix (so relay routes compose into
@@ -316,9 +359,9 @@ class PlatformGraph:
             links: List[int] = []
             node = h
             while True:
-                pred = prev_node[node]
-                links.append(self.adj[node][pred])
-                node = pred
+                link = prev_link[node]
+                links.append(link)
+                node = self.link_u[link] + self.link_v[link] - node
                 if self.w[node] is not None:
                     break
             parent_of[h] = node
@@ -421,22 +464,33 @@ class PlatformGraph:
 
     # --------------------------------------------------------------- faults
     def fail_link(self, link_id: int) -> None:
-        """Take link ``link_id`` down; routes recompute on next lookup."""
+        """Take link ``link_id`` down.  Cached routes that avoid it stay
+        valid; a lookup whose cached path crosses it searches afresh."""
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if not self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already down")
         self.link_up[link_id] = False
-        self._route_cache.clear()
+        self._epoch += 1
 
     def repair_link(self, link_id: int) -> None:
-        """Bring link ``link_id`` back up; routes recompute on next lookup."""
+        """Bring link ``link_id`` back up.  Each cached search keeps the
+        routes the link cannot shorten or tie: those whose key lies below
+        the least key a path through the link could have."""
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already up")
         self.link_up[link_id] = True
-        self._route_cache.clear()
+        self._epoch += 1
+        cost = self.link_c[link_id]
+        ends = (self.link_u[link_id], self.link_v[link_id])
+        for search in self._route_cache.values():
+            for x in ends:
+                if search.done[x]:
+                    key = (search.cost[x] + cost, search.hops[x] + 1)
+                    if search.bound is None or key < search.bound:
+                        search.bound = key
 
     def crash_node(self, node: int) -> List[int]:
         """Permanently down every link incident to ``node`` (a crashed
@@ -449,7 +503,7 @@ class PlatformGraph:
                 self.link_up[link_id] = False
                 downed.append(link_id)
         if downed:
-            self._route_cache.clear()
+            self._epoch += 1
         return downed
 
     def set_degrade(self, link_id: int, factor: Optional[Fraction]) -> None:
@@ -473,7 +527,8 @@ class PlatformGraph:
         self.w[node_id] = w
 
     def copy(self) -> "PlatformGraph":
-        """Deep copy (weights, links, meta; route cache not shared)."""
+        """Deep copy (weights, links, meta; route cache not shared, work
+        counters at zero)."""
         clone = object.__new__(PlatformGraph)
         clone.w = list(self.w)
         clone.link_u = list(self.link_u)
@@ -484,6 +539,9 @@ class PlatformGraph:
         clone.contention = self.contention
         clone.meta = dict(self.meta)
         clone._route_cache = {}
+        clone._epoch = 0
+        clone.searches_started = 0
+        clone.nodes_settled = 0
         clone.link_up = list(self.link_up)
         clone._degrade = dict(self._degrade)
         return clone
@@ -509,6 +567,45 @@ class PlatformGraph:
         return (f"PlatformGraph(nodes={self.num_nodes}, "
                 f"links={self.num_links}, hosts={len(self.hosts)}, "
                 f"root={self.root}, contention={self.contention!r})")
+
+
+class _Search:
+    """One source's resumable shortest-path search, kept across faults.
+
+    ``prev_link[v]`` is the last link of ``v``'s path and ``cost``/
+    ``hops`` its (cost, hops) key, final once ``done`` marks ``v``
+    settled; ``heap`` is the frontier
+    (``None`` once exhausted).  A lookup settles nodes only until its
+    destination pops; later lookups in the same graph ``epoch`` resume
+    from the heap.
+
+    Every fault starts a new epoch.  A search from an older epoch still
+    answers for a settled ``dst`` whose path is all up and whose key is
+    below ``bound`` (``None``: no repair since).  Failures only remove
+    links: keys cannot drop, the intact path keeps its key, and every
+    equal-key predecessor left was one before, so the first one settled
+    still wins.  A repair of ``x — y`` lowers ``bound`` to the key of a
+    settled endpoint plus the link: a new path first leaves the old
+    graph through some repaired link, so it costs at least ``bound`` and
+    cannot reach, let alone tie, a key below it.  An unsettled endpoint
+    needs no term: its key is at least every settled one, and so is
+    anything reached through it.  For the same reason a node an
+    exhausted search never reached stays unreachable while ``bound`` is
+    ``None``.
+    """
+
+    __slots__ = ("prev_link", "cost", "hops", "done", "heap", "epoch",
+                 "bound")
+
+    def __init__(self, src: int, n: int, epoch: int):
+        self.prev_link: List[Optional[int]] = [None] * n
+        self.cost: List[Optional[Weight]] = [None] * n
+        self.hops: List[int] = [0] * n
+        self.cost[src] = 0
+        self.done = bytearray(n)
+        self.heap: Optional[List[Tuple[Weight, int, int]]] = [(0, 0, src)]
+        self.epoch = epoch
+        self.bound: Optional[Tuple[Weight, int]] = None
 
 
 def build_overlay(graph: PlatformGraph, parent_of: Dict[int, int],

@@ -9,7 +9,12 @@ import pytest
 
 from repro import simulate
 from repro.platform import PlatformTree, generate_tree
+from repro.platform.faults import (EdgeFailureEvent, EdgeRepairEvent,
+                                   chaos_schedule)
+from repro.platform.graph import generate_platform
 from repro.protocols import ProtocolConfig
+from repro.protocols.graph_engine import GraphProtocolEngine
+from repro.protocols.topologies import topology_overlay
 
 IC3 = ProtocolConfig.interruptible(3)
 
@@ -70,3 +75,20 @@ class TestMemoryShape:
         engine.env.trace_hook = watch
         engine.run()
         assert max_shelf[0] >= 1  # shelving actually happened
+
+
+class TestRoutingWork:
+    def test_route_refresh_costs_what_the_fault_touches(self):
+        """Routed faults keep the cached shortest-path searches that stay
+        exact: the chaos chain cell settles less than one platform's worth
+        of nodes per link fault (516 for 8 faults on 78 nodes), where
+        clearing the whole route cache on each fault settled 36,868."""
+        graph = generate_platform("chain", seed=1)
+        schedule = chaos_schedule(graph, seed=1017, events=6)
+        faults = sum(isinstance(e, (EdgeFailureEvent, EdgeRepairEvent))
+                     for e in schedule.events)
+        engine = GraphProtocolEngine(graph, IC3, 45, faults=schedule,
+                                     overlay=topology_overlay(graph))
+        engine.run()
+        assert faults == 8
+        assert engine.graph.nodes_settled <= faults * graph.num_nodes
