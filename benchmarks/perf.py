@@ -59,9 +59,7 @@ from workloads import (
     run_engine_ic_10k_telemetry,
     run_engine_ic_10k_warp,
     run_engine_non_ic,
-    run_preemption_churn,
     run_process_chain,
-    run_producer_consumer,
     run_timer_storm,
 )
 
@@ -112,8 +110,6 @@ KERNEL_WORKLOADS = [
     # their per_sec ratio is the warp speedup the CI gate checks.
     ("timer_storm", run_timer_storm, 20_000, "events"),
     ("process_chain", run_process_chain, 10_000, "events"),
-    ("producer_consumer", run_producer_consumer, 2_000, "events"),
-    ("preemption_churn", run_preemption_churn, 500, "events"),
     ("engine_ic_fb3", run_engine_ic, 2_000, "events"),
     ("engine_non_ic_fb2", run_engine_non_ic, 2_000, "events"),
     ("engine_graph_leafspine", run_engine_graph_leafspine, 2_000, "events"),
@@ -217,11 +213,15 @@ SWEEP_WORKLOADS = [
 
 
 def run_sweep_suite(repeats):
-    records = []
+    """Returns ``(records, skipped)``: the measured rows, and the names of
+    rows that could not run here (``--check`` reports those as skipped,
+    not missing)."""
+    records, skipped = [], []
     for name, fn, unit_kind in SWEEP_WORKLOADS:
         units, wall = _measure(lambda _: fn(), None, repeats)
         if units is None:
             print(f"  {name:<22} skipped (test dependencies not installed)")
+            skipped.append(name)
             continue
         records.append({
             "name": name,
@@ -232,7 +232,7 @@ def run_sweep_suite(repeats):
         })
         print(f"  {name:<22} {units:>8} {unit_kind:<6}  {wall:8.2f} s   "
               f"{units / wall:>12,.0f} {unit_kind}/s")
-    return records
+    return records, skipped
 
 
 def _atomic_dump_json(report, path):
@@ -265,7 +265,9 @@ def _atomic_dump_json(report, path):
 # ---------------------------------------------------------------------------
 
 def check_against(report, baseline_path, max_regression):
-    """Exit 1 if any benchmark's normalized throughput dropped too far."""
+    """Exit 1 if any benchmark's normalized throughput dropped too far, or
+    if a baseline row has no current run (unless the suite reported it as
+    skipped): a benchmark must not leave the gate unnoticed."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     base_cal = baseline["calibration_ops_per_sec"]
@@ -291,9 +293,24 @@ def check_against(report, baseline_path, max_regression):
             failed.append(bench["name"])
         print(f"  {bench['name']:<22} {normalized:6.2f}x normalized  "
               f"{verdict}")
+    current = {bench["name"] for bench in report["benchmarks"]}
+    skipped = set(report.get("skipped", ()))
+    missing = []
+    for name in base_by_name:
+        if name in current:
+            continue
+        if name in skipped:
+            print(f"  {name:<22} (skipped here — not gated)")
+        else:
+            print(f"  {name:<22} MISSING — in the baseline, not run")
+            missing.append(name)
     if failed:
         print(f"\nFAIL: throughput regression >{max_regression:.0%} in: "
               f"{', '.join(failed)}")
+    if missing:
+        print(f"\nFAIL: baseline rows with no current run: "
+              f"{', '.join(missing)}")
+    if failed or missing:
         return 1
     print("\nall benchmarks within the regression budget")
     return 0
@@ -382,9 +399,9 @@ def main(argv=None):
           f"(min of {repeats}):")
 
     if args.suite == "kernel":
-        records = run_kernel_suite(repeats)
+        records, skipped = run_kernel_suite(repeats), []
     else:
-        records = run_sweep_suite(repeats)
+        records, skipped = run_sweep_suite(repeats)
 
     report = {
         "suite": args.suite,
@@ -393,6 +410,7 @@ def main(argv=None):
         "python": "%d.%d.%d" % sys.version_info[:3],
         "calibration_ops_per_sec": round(calibration, 1),
         "benchmarks": records,
+        "skipped": skipped,
     }
 
     if args.json:

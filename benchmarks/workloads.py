@@ -11,7 +11,7 @@ measure exactly what the pytest benchmarks measure.
 import random
 from dataclasses import replace
 
-from repro.sim import Environment, Interrupt, PreemptiveResource, Store
+from repro.sim import Environment
 from repro.platform.contention import LinkContention
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.platform.graph import generate_platform
@@ -45,55 +45,6 @@ def run_process_chain(count: int) -> int:
     for _ in range(10):
         env.process(worker(env, count // 10))
     env.run()
-    return env.processed_count
-
-
-def run_producer_consumer(items: int) -> int:
-    env = Environment()
-    store = Store(env, capacity=8)
-    consumed = []
-
-    def producer(env):
-        for i in range(items):
-            yield store.put(i)
-            yield env.timeout(1)
-
-    def consumer(env):
-        for _ in range(items):
-            item = yield store.get()
-            consumed.append(item)
-            yield env.timeout(1)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    return env.processed_count
-
-
-def run_preemption_churn(rounds: int) -> int:
-    env = Environment()
-    resource = PreemptiveResource(env)
-    preempted = [0]
-
-    def low(env):
-        while True:
-            with resource.request(priority=5) as req:
-                yield req
-                try:
-                    yield env.timeout(10)
-                except Interrupt:
-                    preempted[0] += 1
-
-    def high(env):
-        for _ in range(rounds):
-            yield env.timeout(3)
-            with resource.request(priority=1) as req:
-                yield req
-                yield env.timeout(1)
-
-    env.process(low(env))
-    driver = env.process(high(env))
-    env.run(until=driver)
     return env.processed_count
 
 

@@ -2,37 +2,25 @@
 
 Public surface::
 
-    from repro.sim import Environment, Interrupt, Process
-    from repro.sim import Resource, PriorityResource, PreemptiveResource
-    from repro.sim import Store, FilterStore, PriorityStore
+    from repro.sim import Environment, Timer  # the calendar every engine runs on
+    from repro.sim import Event, Process, Interrupt  # SimPy-style layer
+
+Every engine, the open-loop driver, telemetry and warp schedule only
+cancellable :class:`Timer` callbacks; the SimPy-style events and processes
+share the same calendar but no simulation uses them.
 
 Quick example::
 
     env = Environment()
-
-    def worker(env, results):
-        yield env.timeout(3)
-        results.append(env.now)
-
-    results = []
-    env.process(worker(env, results))
+    fired = []
+    env.call_in(3, fired.append, "ping")
     env.run()
-    assert results == [3]
+    assert fired == ["ping"] and env.now == 3
 """
 
 from .core import Environment, Infinity, Timer
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Interrupt, Process
-from .resources import (
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
-from .store import FilterStore, PriorityItem, PriorityStore, Store
 from . import monitor
 
 __all__ = [
@@ -47,16 +35,5 @@ __all__ = [
     "AnyOf",
     "Process",
     "Interrupt",
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
-    "Request",
-    "PriorityRequest",
-    "Release",
-    "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
     "monitor",
 ]

@@ -5,13 +5,12 @@ paper.  It provides a :class:`Environment` with a binary-heap event calendar,
 virtual (integer- or float-valued) time, and two scheduling APIs:
 
 * a **high-level API** in the style of SimPy — :class:`~repro.sim.events.Event`,
-  :class:`~repro.sim.events.Timeout`, generator-based
-  :class:`~repro.sim.process.Process` coroutines, shared resources and stores —
-  used by the examples and available to downstream users, and
+  :class:`~repro.sim.events.Timeout` and generator-based
+  :class:`~repro.sim.process.Process` coroutines — which no engine, example
+  or driver uses, and
 * a **low-level timer API** (:meth:`Environment.call_in` /
   :meth:`Environment.call_at`) returning cancellable :class:`Timer` handles,
-  used by the protocol engine on its hot path where coroutine overhead would
-  dominate.
+  which every engine, the open-loop driver, telemetry and warp run on.
 
 Both APIs share one calendar, so they can be mixed freely.  Determinism:
 entries are ordered by ``(time, priority, sequence)`` where the sequence
@@ -311,6 +310,7 @@ class Environment:
             * an :class:`Event` — run until that event has been processed and
               return its value (re-raising its exception if it failed).
         """
+        stop_timer = None
         if until is None:
             stop_event = None
         elif isinstance(until, Event):
@@ -325,11 +325,12 @@ class Environment:
                 )
             stop_event = None
             self._seq += 1
-            timer = Timer(self, until, self._seq, self._stop_at, ())
+            stop_timer = Timer(self, until, self._seq, self._stop_at, ())
             if until.__class__ is int:
-                heappush(self._heap, (until, URGENT, self._seq, timer))
+                heappush(self._heap, (until, URGENT, self._seq, stop_timer))
             else:
-                heappush(self._heap, _Entry(until, URGENT, self._seq, timer))
+                heappush(self._heap,
+                         _Entry(until, URGENT, self._seq, stop_timer))
 
         # The event loop proper.  This duplicates :meth:`step` deliberately:
         # inlining the dispatch into one tight loop (with the heap and
@@ -370,6 +371,12 @@ class Environment:
                     item._process()
         except _StopRun as stop:
             return stop.value
+        except BaseException:
+            # A callback raised before the clock reached ``until``: revoke
+            # the stop entry so a later run() does not halt there.
+            if stop_timer is not None:
+                stop_timer.cancel()
+            raise
         if isinstance(until, Event):
             raise SimulationError(
                 "run() terminated: calendar exhausted before the 'until' "

@@ -6,8 +6,10 @@ event fires (or throws the event's exception into it).  Processes are
 themselves events — they fire with the generator's return value — so they can
 be waited upon and composed with ``&``/``|``.
 
-Processes support asynchronous :meth:`Process.interrupt`, which the paper's
-interruptible-communication protocol maps onto preempted task transfers.
+Processes support asynchronous :meth:`Process.interrupt`.  The paper's
+interruptible-communication protocol does not use it: an agent preempts a
+transfer by cancelling its :class:`~repro.sim.core.Timer`
+(``NodeAgent._maybe_preempt``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
     The interrupt ``cause`` is an arbitrary user object describing why the
-    process was interrupted (e.g. a ``Preempted`` record from a
-    :class:`~repro.sim.resources.PreemptiveResource`).
+    process was interrupted.
     """
 
     @property

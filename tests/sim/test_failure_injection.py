@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 class TestTimerFailures:
@@ -19,7 +18,8 @@ class TestTimerFailures:
         # The clock stopped at the failure point; the kernel is inspectable.
         assert env.now == 3
 
-    def test_failure_does_not_corrupt_remaining_calendar(self):
+    @pytest.mark.parametrize("until", [None, 10])
+    def test_failure_does_not_corrupt_remaining_calendar(self, until):
         env = Environment()
         ran = []
 
@@ -28,10 +28,12 @@ class TestTimerFailures:
 
         env.call_in(1, boom)
         env.call_in(2, ran.append, "later")
+        env.call_in(15, ran.append, "past the bound")
         with pytest.raises(ValueError):
-            env.run()
-        env.run()  # resume past the failure
-        assert ran == ["later"]
+            env.run(until=until)
+        env.run()  # resume past the failure, and past a bounded run's stop
+        assert ran == ["later", "past the bound"]
+        assert env.now == 15
 
 
 class TestProcessFailures:
@@ -75,33 +77,3 @@ class TestProcessFailures:
         with pytest.raises(ZeroDivisionError):
             env.run()
 
-
-class TestStoreMisuse:
-    def test_pending_get_at_exhaustion_is_not_an_error(self):
-        """A consumer left waiting when the calendar drains is a deadlock
-        the caller can inspect, not a crash."""
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        proc = env.process(consumer(env))
-        env.run()
-        assert got == []
-        assert proc.is_alive  # visibly stuck, diagnosable
-
-    def test_events_after_resume(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        store.put("late delivery")
-        env.run()
-        assert got == ["late delivery"]
