@@ -59,7 +59,6 @@ from workloads import (
     run_engine_ic_10k_telemetry,
     run_engine_ic_10k_warp,
     run_engine_non_ic,
-    run_process_chain,
     run_timer_storm,
 )
 
@@ -70,8 +69,10 @@ CALIBRATION_OPS = 200_000
 def calibrate() -> float:
     """Fixed heapq push/pop loop — the machine-speed yardstick.
 
-    Uses the same (time, priority, seq, payload) tuple shape as the
-    calendar, so it tracks what the kernel actually pays per event.
+    Pushes ``(time, priority, seq, payload)`` tuples, the calendar's slot
+    shape when the committed baselines were first taken.  The calendar now
+    uses ``(time, seq, timer)``; the yardstick stays as it was so every
+    baseline's ``calibration_ops_per_sec`` remains comparable.
     """
     best = float("inf")
     for _ in range(3):
@@ -109,7 +110,6 @@ KERNEL_WORKLOADS = [
     # skips events, so tasks/sec is the only denominator the two share —
     # their per_sec ratio is the warp speedup the CI gate checks.
     ("timer_storm", run_timer_storm, 20_000, "events"),
-    ("process_chain", run_process_chain, 10_000, "events"),
     ("engine_ic_fb3", run_engine_ic, 2_000, "events"),
     ("engine_non_ic_fb2", run_engine_non_ic, 2_000, "events"),
     ("engine_graph_leafspine", run_engine_graph_leafspine, 2_000, "events"),
@@ -265,8 +265,10 @@ def _atomic_dump_json(report, path):
 # ---------------------------------------------------------------------------
 
 def check_against(report, baseline_path, max_regression):
-    """Exit 1 if any benchmark's normalized throughput dropped too far, or
-    if a baseline row has no current run (unless the suite reported it as
+    """Exit 1 if any benchmark's normalized throughput dropped too far, if
+    a row's ``units`` differ from its baseline row's (the two runs did
+    different work, so it must be re-measured, not compared), or if a
+    baseline row has no current run (unless the suite reported it as
     skipped): a benchmark must not leave the gate unnoticed."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -278,10 +280,18 @@ def check_against(report, baseline_path, max_regression):
           f"(machine speed ratio {speed_ratio:.2f}x, "
           f"gate: -{max_regression:.0%} normalized)")
     failed = []
+    changed = []
     for bench in report["benchmarks"]:
         base = base_by_name.get(bench["name"])
         if base is None:
             print(f"  {bench['name']:<22} (new — no baseline, skipped)")
+            continue
+        if bench["units"] != base["units"]:
+            # A different amount of work per run: the throughputs measure
+            # different things, so no ratio of them means anything.
+            print(f"  {bench['name']:<22} units changed "
+                  f"({base['units']} -> {bench['units']}), re-measure")
+            changed.append(bench["name"])
             continue
         # Normalize both sides by their machine's calibration throughput;
         # the resulting ratio is dimensionless "kernel cost per heap op".
@@ -307,10 +317,13 @@ def check_against(report, baseline_path, max_regression):
     if failed:
         print(f"\nFAIL: throughput regression >{max_regression:.0%} in: "
               f"{', '.join(failed)}")
+    if changed:
+        print(f"\nFAIL: units changed since the baseline, re-measure: "
+              f"{', '.join(changed)}")
     if missing:
         print(f"\nFAIL: baseline rows with no current run: "
               f"{', '.join(missing)}")
-    if failed or missing:
+    if failed or changed or missing:
         return 1
     print("\nall benchmarks within the regression budget")
     return 0

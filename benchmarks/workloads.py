@@ -33,21 +33,6 @@ def run_timer_storm(events: int) -> int:
     return env.processed_count
 
 
-def run_process_chain(count: int) -> int:
-    env = Environment()
-    done = []
-
-    def worker(env, n):
-        for _ in range(n):
-            yield env.timeout(1)
-        done.append(n)
-
-    for _ in range(10):
-        env.process(worker(env, count // 10))
-    env.run()
-    return env.processed_count
-
-
 def _engine_events(config: ProtocolConfig, num_tasks: int) -> int:
     tree = generate_tree(TreeGeneratorParams(min_nodes=60, max_nodes=60),
                          seed=7)

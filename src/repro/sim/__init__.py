@@ -3,11 +3,11 @@
 Public surface::
 
     from repro.sim import Environment, Timer  # the calendar every engine runs on
-    from repro.sim import Event, Process, Interrupt  # SimPy-style layer
 
-Every engine, the open-loop driver, telemetry and warp schedule only
-cancellable :class:`Timer` callbacks; the SimPy-style events and processes
-share the same calendar but no simulation uses them.
+One API: :meth:`Environment.call_in` / :meth:`Environment.call_at` schedule
+a callback and return a cancellable :class:`Timer`.  Every engine, the
+open-loop driver, telemetry and warp run on it; the calendar orders its
+entries by ``(time, seq)``.
 
 Quick example::
 
@@ -19,21 +19,11 @@ Quick example::
 """
 
 from .core import Environment, Infinity, Timer
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .process import Interrupt, Process
 from . import monitor
 
 __all__ = [
     "Environment",
     "Infinity",
     "Timer",
-    "Event",
-    "Timeout",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
-    "Process",
-    "Interrupt",
     "monitor",
 ]

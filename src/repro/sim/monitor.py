@@ -3,6 +3,10 @@
 The kernel exposes a single :attr:`Environment.trace_hook` slot; this module
 provides ready-made hooks: an event-count/time histogram recorder and a
 bounded in-memory trace useful in tests and when debugging protocol runs.
+
+Every calendar entry is a :class:`~repro.sim.Timer`, so both hooks key an
+entry by its callback's ``__qualname__`` (``NodeAgent._liveness_sweep``),
+falling back to the callback's type name for callables without one.
 """
 
 from __future__ import annotations
@@ -13,8 +17,13 @@ from typing import Any, List, Optional, Tuple
 __all__ = ["TraceRecorder", "KindCounter", "attach", "detach"]
 
 
+def _kind(timer: Any) -> str:
+    fn = timer.fn
+    return getattr(fn, "__qualname__", None) or type(fn).__name__
+
+
 class TraceRecorder:
-    """Records ``(time, repr(item))`` tuples for every processed entry.
+    """Records ``(time, kind)`` tuples for every processed entry.
 
     Parameters
     ----------
@@ -29,9 +38,9 @@ class TraceRecorder:
         self.records: List[Tuple[Any, str]] = []
         self.dropped = 0
 
-    def __call__(self, time: Any, item: Any) -> None:
+    def __call__(self, time: Any, timer: Any) -> None:
         records = self.records
-        records.append((time, type(item).__name__))
+        records.append((time, _kind(timer)))
         if self.limit is not None and len(records) > self.limit:
             del records[0]
             self.dropped += 1
@@ -41,13 +50,13 @@ class TraceRecorder:
 
 
 class KindCounter:
-    """Counts processed calendar entries by item class name."""
+    """Counts processed calendar entries by callback."""
 
     def __init__(self):
         self.counts: Counter = Counter()
 
-    def __call__(self, time: Any, item: Any) -> None:
-        self.counts[type(item).__name__] += 1
+    def __call__(self, time: Any, timer: Any) -> None:
+        self.counts[_kind(timer)] += 1
 
     def total(self) -> int:
         """Total number of entries observed."""

@@ -14,8 +14,8 @@ How it works
 At sampled task completions the :class:`WarpController` takes a
 **canonical fingerprint** of the simulation: the completing node's id,
 every agent's :meth:`~repro.protocols.agents.NodeAgent.fingerprint_state`
-view, and the live calendar entries as ``(time - now, priority, owner,
-callback, canonical args)`` tuples.  Monotone counters (virtual time,
+view, and the live calendar timers as ``(time - now, owner, callback,
+canonical args)`` tuples.  Monotone counters (virtual time,
 completed tasks, the root's repository, per-node tallies) are
 deliberately *excluded* — they grow forever and never influence a
 scheduling decision except at the repository-exhaustion boundary, which
@@ -67,7 +67,7 @@ from heapq import heapify
 from itertools import repeat
 from typing import Optional, Set, TYPE_CHECKING
 
-from .core import Timer, _Entry
+from .core import _Entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
@@ -380,26 +380,24 @@ class WarpController:
         try:
             for entry in sorted(env._heap):
                 if entry.__class__ is tuple:
-                    time, prio, _seq, item = entry
-                else:  # upgraded (non-int-time) calendar: _Entry objects
-                    time, prio, item = entry.time, entry.prio, entry.item
-                if item.__class__ is not Timer:
-                    raise _Foreign(item)
-                if item.cancelled:
+                    time, _seq, timer = entry
+                else:  # non-int-time slot
+                    time, timer = entry.time, entry.timer
+                if timer.cancelled:
                     continue
-                fn = item.fn
+                fn = timer.fn
                 owner = getattr(fn, "__self__", None)
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)
                 delta = time - now
                 if delta > FAR_HORIZON:
-                    far.append(((prio, owner.id, fn.__name__,
-                                 tuple(_canon_far_arg(a) for a in item.args)),
+                    far.append(((owner.id, fn.__name__,
+                                 tuple(_canon_far_arg(a) for a in timer.args)),
                                 delta))
                 else:
                     calendar.append(
-                        (delta, prio, owner.id, fn.__name__,
-                         tuple(_canon_arg(a, now) for a in item.args)))
+                        (delta, owner.id, fn.__name__,
+                         tuple(_canon_arg(a, now) for a in timer.args)))
         except _Foreign:
             return None
         far.sort()
@@ -534,20 +532,19 @@ class WarpController:
         live = []
         for entry in env._heap:
             if entry.__class__ is tuple:
-                time, prio, seq, item = entry
-            else:  # upgraded calendar (see Environment._upgrade)
-                time, prio, seq, item = (entry.time, entry.prio,
-                                         entry.seq, entry.item)
-            if item.cancelled:
+                time, seq, timer = entry
+            else:  # non-int-time slot
+                time, seq, timer = entry.time, entry.seq, entry.timer
+            if timer.cancelled:
                 continue
             if time - now > FAR_HORIZON:
                 live.append(entry)
             else:
-                item.time += shift
+                timer.time += shift
                 if entry.__class__ is tuple:
-                    live.append((time + shift, prio, seq, item))
+                    live.append((time + shift, seq, timer))
                 else:
-                    live.append(_Entry(time + shift, prio, seq, item))
+                    live.append(_Entry(time + shift, seq, timer))
         env._heap[:] = live
         heapify(env._heap)
         env._cancelled = 0

@@ -1,10 +1,9 @@
 """Simulations put only :class:`~repro.sim.Timer` entries on the calendar.
 
 Every engine, the routed fault driver, the open-loop driver and the
-telemetry sampler schedule through ``Environment.call_in``/``call_at``.
-No run dispatches an ``Event`` or a ``Process``, which is what lets the
-kernel's SimPy-style layer go without changing any simulation.  Each case
-below watches every dispatched entry through ``env.trace_hook``.
+telemetry sampler schedule through ``Environment.call_in``/``call_at``,
+the kernel's one scheduling API.  Each case below watches every
+dispatched entry through ``env.trace_hook``.
 """
 
 import dataclasses

@@ -1,5 +1,7 @@
 """Tests for the event-loop core: clock, calendar ordering, timers, run()."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import SimulationError
@@ -102,6 +104,13 @@ class TestTimers:
         env.run()
         assert out == [1, 2, 3, 4, 5]
 
+    def test_schedule_is_call_in(self):
+        env = Environment()
+        out = []
+        timer = env.schedule(2, out.append, "x")
+        env.run()
+        assert out == ["x"] and env.now == 2 and not timer.active
+
     def test_timer_scheduled_from_timer(self):
         env = Environment()
         out = []
@@ -137,14 +146,22 @@ class TestPeek:
 
 
 class TestRun:
-    def test_run_until_time_stops_before_events_at_bound(self):
+    @pytest.mark.parametrize("bound", [10, Fraction(21, 2)],
+                             ids=["int", "fraction"])
+    def test_run_until_time_stops_before_events_at_bound(self, bound):
+        # The stop entry sorts before every timer at the bound, including
+        # one a callback schedules after run() has put the stop on the
+        # calendar; int and Fraction bounds use the two slot shapes.
         env = Environment()
         out = []
         env.call_in(5, out.append, "at5")
-        env.call_in(10, out.append, "at10")
-        env.run(until=10)
+        env.call_at(bound, out.append, "at bound")
+        env.call_in(6, lambda: env.call_at(bound, out.append, "late"))
+        env.run(until=bound)
         assert out == ["at5"]
-        assert env.now == 10
+        assert env.now == bound
+        env.run()
+        assert out == ["at5", "at bound", "late"]
 
     def test_run_until_past_raises(self):
         env = Environment(initial_time=5)
@@ -169,26 +186,6 @@ class TestRun:
         assert out == [1]
         env.run()
         assert out == [1, 2]
-
-    def test_run_until_event_returns_value(self):
-        env = Environment()
-        ev = env.event()
-        env.call_in(3, ev.succeed, "done")
-        assert env.run(until=ev) == "done"
-        assert env.now == 3
-
-    def test_run_until_never_triggered_event_raises(self):
-        env = Environment()
-        ev = env.event()
-        with pytest.raises(SimulationError):
-            env.run(until=ev)
-
-    def test_run_until_failed_event_raises_its_exception(self):
-        env = Environment()
-        ev = env.event()
-        env.call_in(1, ev.fail, ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            env.run(until=ev)
 
     def test_step_on_empty_raises(self):
         with pytest.raises(SimulationError):

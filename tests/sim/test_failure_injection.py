@@ -35,45 +35,3 @@ class TestTimerFailures:
         assert ran == ["later", "past the bound"]
         assert env.now == 15
 
-
-class TestProcessFailures:
-    def test_unwaited_process_failure_propagates(self):
-        env = Environment()
-
-        def crasher(env):
-            yield env.timeout(2)
-            raise KeyError("lost")
-
-        env.process(crasher(env))
-        with pytest.raises(KeyError):
-            env.run()
-
-    def test_waited_process_failure_consumed_by_waiter(self):
-        env = Environment()
-        caught = []
-
-        def crasher(env):
-            yield env.timeout(2)
-            raise KeyError("handled")
-
-        def guardian(env):
-            try:
-                yield env.process(crasher(env))
-            except KeyError as exc:
-                caught.append(str(exc))
-
-        env.process(guardian(env))
-        env.run()
-        assert caught == ["'handled'"]
-
-    def test_generator_cleanup_error_propagates(self):
-        env = Environment()
-
-        def crasher(env):
-            raise ZeroDivisionError("before first yield")
-            yield  # pragma: no cover
-
-        env.process(crasher(env))
-        with pytest.raises(ZeroDivisionError):
-            env.run()
-

@@ -6,6 +6,8 @@ pin the bookkeeping and — crucially — that compaction never changes what
 runs when.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import SimulationError
@@ -129,7 +131,8 @@ class TestCompaction:
 
 
 class TestRunMirrorsStep:
-    """The inlined run() loop and step() must dispatch identically."""
+    """The inlined run() loop and step() must dispatch identically, on
+    integer-time and fractional-time slots alike."""
 
     def _drive(self, use_step: bool):
         env = Environment()
@@ -137,9 +140,9 @@ class TestRunMirrorsStep:
         env.call_in(1, out.append, "t1")
         env.call_in(2, out.append, "t2")
         env.call_in(1, out.append, "t1b")
-        env.timeout(1, "ev").callbacks.append(lambda e: out.append(e.value))
-        cancelled = env.call_in(1, out.append, "never")
-        cancelled.cancel()
+        env.call_in(Fraction(1, 2), out.append, "half")
+        env.call_in(Fraction(3, 2), out.append, "never").cancel()
+        env.call_in(1, out.append, "never").cancel()
         if use_step:
             while not env.is_empty():
                 env.step()
@@ -148,7 +151,9 @@ class TestRunMirrorsStep:
         return out, env.processed_count, env.now
 
     def test_identical_dispatch(self):
-        assert self._drive(use_step=True) == self._drive(use_step=False)
+        stepped = self._drive(use_step=True)
+        assert stepped == self._drive(use_step=False)
+        assert stepped == (["half", "t1", "t1b", "t2"], 4, 2)
 
     def test_step_on_empty_calendar_raises(self):
         env = Environment()

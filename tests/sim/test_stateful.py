@@ -3,7 +3,8 @@
 A hypothesis state machine schedules, cancels and runs timers in random
 interleavings and checks the kernel's core contract: every non-cancelled
 timer fires exactly once, in nondecreasing time order, FIFO at ties, and
-the clock never moves backwards.
+the clock never moves backwards; ``run(until=t)`` fires nothing at or after
+``t`` and leaves the clock at ``t``.
 """
 
 from hypothesis import settings
@@ -54,6 +55,20 @@ class CalendarMachine(RuleBasedStateMachine):
     @rule()
     def run_all(self):
         self.env.run()
+
+    @rule(offset=st.one_of(st.integers(0, 30),
+                           st.fractions(0, 30, max_denominator=4)))
+    def run_until(self, offset):
+        # Integer and Fraction bounds put the stop entry in both slot
+        # shapes; a Fraction clock then sends later timers to _Entry slots.
+        bound = self.env.now + offset
+        before = len(self.fired)
+        self.env.run(until=bound)
+        assert all(t < bound for t, _s in self.fired[before:])
+        assert self.env.now == bound
+        fired = {s for _t, s in self.fired}
+        assert all(s in fired for s, (due, _h) in self.live.items()
+                   if due < bound and s not in self.cancelled)
 
     @invariant()
     def clock_monotone_and_order_correct(self):

@@ -98,26 +98,3 @@ class TestReporting:
         assert fmt_num(1.23456, 2) == "1.23"
         assert fmt_opt(None) == "-"
         assert fmt_opt(7) == "7"
-
-
-class TestConditionEdgeCases:
-    def test_condition_over_already_failed_processed_child(self):
-        from repro.sim import AllOf, Environment
-
-        env = Environment()
-        bad = env.event()
-        bad.fail(RuntimeError("early"))
-        bad.defused = True
-        env.run()  # bad is now processed
-        cond = AllOf(env, [bad, env.timeout(1)])
-        with pytest.raises(RuntimeError, match="early"):
-            env.run(until=cond)
-
-    def test_run_until_already_processed_event(self):
-        from repro.sim import Environment
-
-        env = Environment()
-        ev = env.event()
-        ev.succeed("done")
-        env.run()
-        assert env.run(until=ev) == "done"  # returns immediately
