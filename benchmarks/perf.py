@@ -7,8 +7,10 @@ Two suites:
   units/sec (events, tasks, or solver ops).
 * ``sweep``  — end-to-end figure experiments at smoke scale (fig4, fig7,
   fault recovery), reported as tasks/sec and wall seconds per figure,
-  plus the tier-1 test suite (``tier1``: tests passed and wall seconds;
-  skipped when pytest or hypothesis is not installed).
+  plus the tier-1 test suite (``tier1``: one suite run per unit, so adding
+  or removing a test does not change its units; the number of tests
+  passed is recorded beside it; skipped when pytest or hypothesis is not
+  installed).
 
 ``--json OUT`` writes the committed ``BENCH_kernel.json`` /
 ``BENCH_sweep.json`` trajectory files.  ``--check BASELINE`` compares the
@@ -183,8 +185,9 @@ def _sweep_faults():
 
 
 def _sweep_tier1():
-    """``python -m pytest -x -q`` from the repository root; returns the
-    number of tests passed (``None`` without the test dependencies)."""
+    """``python -m pytest -x -q`` from the repository root; returns one
+    suite run as the unit, with the number of tests passed as an
+    informational field (``None`` without the test dependencies)."""
     if not all(importlib.util.find_spec(m) for m in ("pytest", "hypothesis")):
         return None
     root = Path(__file__).resolve().parent.parent
@@ -201,14 +204,16 @@ def _sweep_tier1():
             raise RuntimeError(
                 f"tier-1 suite failed:\n{proc.stdout[-4000:]}")
         suite = ElementTree.parse(report).getroot().find("testsuite")
-    return int(suite.get("tests")) - int(suite.get("skipped"))
+    return 1, {"tests": int(suite.get("tests")) - int(suite.get("skipped"))}
 
 
 SWEEP_WORKLOADS = [
+    # (name, fn, unit_kind); fn returns the units, or ``(units, info)``
+    # whose ``info`` fields are recorded but never gated.
     ("fig4_smoke", _sweep_fig4, "tasks"),
     ("fig7_smoke", _sweep_fig7, "tasks"),
     ("faults_smoke", _sweep_faults, "tasks"),
-    ("tier1", _sweep_tier1, "tests"),
+    ("tier1", _sweep_tier1, "suite"),
 ]
 
 
@@ -223,15 +228,17 @@ def run_sweep_suite(repeats):
             print(f"  {name:<22} skipped (test dependencies not installed)")
             skipped.append(name)
             continue
+        units, info = units if isinstance(units, tuple) else (units, {})
         records.append({
             "name": name,
             "units": units,
             "unit_kind": unit_kind,
             "wall_s": round(wall, 6),
-            "per_sec": round(units / wall, 1),
+            "per_sec": round(units / wall, 6),
+            **info,
         })
         print(f"  {name:<22} {units:>8} {unit_kind:<6}  {wall:8.2f} s   "
-              f"{units / wall:>12,.0f} {unit_kind}/s")
+              f"{units / wall:>12,.6g} {unit_kind}/s")
     return records, skipped
 
 

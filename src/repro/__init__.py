@@ -52,8 +52,7 @@ Fault injection and recovery metrics are first-class::
     report = recovery_report(simulate(tree, 2000, config, faults=faults))
 """
 
-from importlib import import_module
-
+from ._exports import export as _export
 from ._version import __version__
 from .errors import (
     ExperimentError,
@@ -64,107 +63,72 @@ from .errors import (
     SolverError,
 )
 
-#: Declarative lazy-export table: public name → defining module.  Names
-#: resolve (and the submodule imports) on first attribute access, keeping
-#: ``import repro`` cheap; resolved names are cached in module globals.
-_LAZY_EXPORTS = {
+#: Lazy exports, defining module → public names (see :mod:`repro._exports`):
+#: ``import repro`` imports none of them; each name resolves on first access
+#: and is cached in this module's globals.
+_lazy_names = _export(globals(), {
     # platform model
-    "PlatformTree": "repro.platform.tree",
-    "TreeNode": "repro.platform.tree",
-    "PlatformGraph": "repro.platform.graph",
-    "Overlay": "repro.platform.graph",
-    "generate_platform": "repro.platform.graph",
-    "LinkContention": "repro.platform.contention",
-    "max_min_rates": "repro.platform.contention",
-    "fair_share_rates": "repro.platform.contention",
-    "selfish_rates": "repro.platform.contention",
-    "generate_tree": "repro.platform.generator",
-    "TreeGeneratorParams": "repro.platform.generator",
-    "Mutation": "repro.platform.mutation",
-    "MutationSchedule": "repro.platform.mutation",
-    "ChurnSchedule": "repro.platform.churn",
-    "JoinEvent": "repro.platform.churn",
-    "LeaveEvent": "repro.platform.churn",
-    # fault injection (PR-1 surface; graph events and chaos in PR-8)
-    "FaultSchedule": "repro.platform.faults",
-    "CrashEvent": "repro.platform.faults",
-    "LinkFailureEvent": "repro.platform.faults",
-    "LinkRepairEvent": "repro.platform.faults",
-    "EdgeFailureEvent": "repro.platform.faults",
-    "EdgeRepairEvent": "repro.platform.faults",
-    "SwitchCrashEvent": "repro.platform.faults",
-    "DegradeEvent": "repro.platform.faults",
-    "chaos_schedule": "repro.platform.faults",
-    "GraphFaultDriver": "repro.protocols.graph_engine",
+    ".platform.tree": ("PlatformTree", "TreeNode"),
+    ".platform.graph": ("PlatformGraph", "Overlay", "generate_platform"),
+    ".platform.contention": ("LinkContention", "max_min_rates",
+                             "fair_share_rates", "selfish_rates"),
+    ".platform.generator": ("generate_tree", "TreeGeneratorParams"),
+    ".platform.mutation": ("Mutation", "MutationSchedule"),
+    ".platform.churn": ("ChurnSchedule", "JoinEvent", "LeaveEvent"),
+    # fault injection
+    ".platform.faults": ("FaultSchedule", "CrashEvent",
+                         "LinkFailureEvent", "LinkRepairEvent",
+                         "EdgeFailureEvent", "EdgeRepairEvent",
+                         "SwitchCrashEvent", "DegradeEvent",
+                         "chaos_schedule"),
     # steady-state theory
-    "solve_tree": "repro.steady_state",
-    "solve_fork": "repro.steady_state",
-    "SteadyStateSolution": "repro.steady_state",
-    "ForkSolution": "repro.steady_state",
+    ".steady_state.solver": ("solve_tree", "SteadyStateSolution"),
+    ".steady_state.fork": ("solve_fork", "ForkSolution"),
     # the simulation front door: every run starts here
-    "simulate": "repro.api",
+    ".api": ("simulate",),
     # multi-application scheduling
-    "Application": "repro.apps",
-    "Workload": "repro.apps",
-    "AppResult": "repro.apps",
-    "MultiAppEngine": "repro.apps",
-    "jain_index": "repro.apps",
-    "price_of_anarchy": "repro.apps",
-    "fault_fairness": "repro.apps",
+    ".apps.spec": ("Application", "Workload", "AppResult"),
+    ".apps.engine": ("MultiAppEngine",),
+    ".apps.metrics": ("jain_index", "price_of_anarchy",
+                      "fault_fairness"),
     # protocols
-    "ProtocolConfig": "repro.protocols",
-    "ProtocolEngine": "repro.protocols",
-    "GraphProtocolEngine": "repro.protocols",
-    "ProtocolVariant": "repro.protocols",
-    "PriorityRule": "repro.protocols",
-    "SimulationResult": "repro.protocols",
-    "Tracer": "repro.protocols",
-    "TraceEvent": "repro.protocols",
-    "ascii_gantt": "repro.protocols",
+    ".protocols.config": ("ProtocolConfig", "ProtocolVariant",
+                          "PriorityRule"),
+    ".protocols.engine": ("ProtocolEngine",),
+    ".protocols.graph_engine": ("GraphProtocolEngine",
+                                "GraphFaultDriver"),
+    ".protocols.result": ("SimulationResult",),
+    ".protocols.trace": ("Tracer", "TraceEvent", "ascii_gantt"),
     # steady-state warp
-    "WarpSummary": "repro.sim.warp",
-    "WarpController": "repro.sim.warp",
-    "steady_state_rate": "repro.metrics.windows",
-    "node_utilization": "repro.metrics.usage",
-    # recovery metrics (PR-1 surface)
-    "RecoveryReport": "repro.metrics.faults",
-    "recovery_report": "repro.metrics.faults",
-    "recovery_latencies": "repro.metrics.faults",
-    "post_recovery_rate": "repro.metrics.faults",
-    "degraded_windows": "repro.metrics.faults",
+    ".sim.warp": ("WarpSummary", "WarpController"),
+    # measurement
+    ".metrics.windows": ("steady_state_rate",),
+    ".metrics.usage": ("node_utilization",),
+    ".metrics.faults": ("RecoveryReport", "recovery_report",
+                        "recovery_latencies", "post_recovery_rate",
+                        "degraded_windows"),
     # service mode: open-loop arrivals, admission control, latency SLOs
-    "ArrivalProcess": "repro.service",
-    "PoissonArrivals": "repro.service",
-    "BurstArrivals": "repro.service",
-    "DiurnalArrivals": "repro.service",
-    "PeriodicArrivals": "repro.service",
-    "parse_arrivals": "repro.service",
-    "AdmissionPolicy": "repro.service",
-    "AlwaysAdmit": "repro.service",
-    "QueueDepthBound": "repro.service",
-    "TokenBucket": "repro.service",
-    "parse_admission": "repro.service",
-    "LatencySketch": "repro.service",
-    "ServiceStats": "repro.service",
+    ".service.arrivals": ("ArrivalProcess", "PoissonArrivals",
+                          "BurstArrivals", "DiurnalArrivals",
+                          "PeriodicArrivals", "parse_arrivals"),
+    ".service.admission": ("AdmissionPolicy", "AlwaysAdmit",
+                           "QueueDepthBound", "TokenBucket",
+                           "parse_admission"),
+    ".service.slo": ("LatencySketch", "ServiceStats"),
     # telemetry subsystem
-    "TelemetryConfig": "repro.telemetry",
-    "TelemetrySnapshot": "repro.telemetry",
-    "MetricsRegistry": "repro.telemetry",
-    "NullRegistry": "repro.telemetry",
-    "aggregate_snapshots": "repro.telemetry",
-    "chrome_trace": "repro.telemetry",
-    "write_chrome_trace": "repro.telemetry",
-    "dump_jsonl": "repro.telemetry",
-    "load_jsonl": "repro.telemetry",
+    ".telemetry.config": ("TelemetryConfig",),
+    ".telemetry.probes": ("TelemetrySnapshot",),
+    ".telemetry.registry": ("MetricsRegistry", "NullRegistry"),
+    ".telemetry.aggregate": ("aggregate_snapshots",),
+    ".telemetry.export": ("chrome_trace", "write_chrome_trace",
+                          "dump_jsonl", "load_jsonl"),
     # experiment harness
-    "ExperimentScale": "repro.experiments.common",
+    ".experiments.common": ("ExperimentScale",),
     # crash-safe sweep harness
-    "HarnessConfig": "repro.harness",
-    "RetryPolicy": "repro.harness",
-    "RunCoverage": "repro.harness",
-    "SeedFailure": "repro.harness",
-    "CheckpointStore": "repro.harness",
-}
+    ".harness.runner": ("HarnessConfig",),
+    ".harness.pool": ("RetryPolicy", "RunCoverage", "SeedFailure"),
+    ".harness.checkpoint": ("CheckpointStore",),
+})
 
 __all__ = [
     "__version__",
@@ -174,20 +138,5 @@ __all__ = [
     "SolverError",
     "ProtocolError",
     "ExperimentError",
-    *sorted(_LAZY_EXPORTS),
+    *sorted(_lazy_names),
 ]
-
-
-def __getattr__(name):
-    try:
-        module_name = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro' has no attribute {name!r}") from None
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

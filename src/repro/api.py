@@ -87,10 +87,11 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
             f"third, got {config!r}; the workload (a task count, "
             "Application or Workload) comes second")
 
-    from .apps import MultiAppEngine, Workload
+    from .apps.spec import Workload
     workload = Workload.of(workload)
 
     if workload.is_multi:
+        from .apps.engine import MultiAppEngine
         if mutations or churn:
             raise ProtocolError(
                 "dynamic platform schedules (mutations/churn) are "

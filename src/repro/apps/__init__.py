@@ -6,13 +6,11 @@ See :mod:`repro.apps.engine` for the execution model and
 design rationale.
 """
 
-from .engine import MultiAppEngine
-from .metrics import (fault_fairness, jain_index, price_of_anarchy,
-                      steady_window_rate)
-from .spec import Application, AppResult, Workload
+from .._exports import export as _export
 
-__all__ = [
-    "Application", "AppResult", "Workload", "MultiAppEngine",
-    "jain_index", "price_of_anarchy", "steady_window_rate",
-    "fault_fairness",
-]
+__all__ = _export(globals(), {
+    ".spec": ("Application", "AppResult", "Workload"),
+    ".engine": ("MultiAppEngine",),
+    ".metrics": ("jain_index", "price_of_anarchy", "steady_window_rate",
+                 "fault_fairness"),
+})

@@ -43,9 +43,9 @@ from ..protocols.graph_engine import (GraphFaultDriver, GraphNodeAgent,
                                       GraphProtocolEngine)
 from ..protocols.result import SimulationResult
 from ..protocols.trace import Tracer
-from ..sim import Environment
+from ..sim.core import Environment
 from ..sim.warp import REASON_MULTI_APP, WarpSummary
-from ..steady_state import solve_tree
+from ..steady_state.solver import solve_tree
 from .metrics import steady_window_rate
 from .spec import Application, AppResult, Workload
 

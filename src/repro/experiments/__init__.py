@@ -5,26 +5,19 @@ Every module exposes ``run(scale) -> <Result>`` and
 The CLI (``python -m repro <experiment>``) wires them together.
 """
 
-from .common import ConfigOutcome, ExperimentScale, TreeCase, run_case, sweep
-from . import export
-from . import ablation, fig3, fig4, fig5, fig6, fig7, table1, table2
-from .cli import EXPERIMENTS, main
+from .._exports import export as _export
 
-__all__ = [
-    "ExperimentScale",
-    "ConfigOutcome",
-    "TreeCase",
-    "run_case",
-    "sweep",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table1",
-    "table2",
-    "ablation",
-    "export",
-    "EXPERIMENTS",
-    "main",
-]
+__all__ = _export(globals(), {
+    ".common": ("ExperimentScale", "ConfigOutcome", "TreeCase", "run_case",
+                "sweep"),
+    ".fig3": ("fig3",),
+    ".fig4": ("fig4",),
+    ".fig5": ("fig5",),
+    ".fig6": ("fig6",),
+    ".fig7": ("fig7",),
+    ".table1": ("table1",),
+    ".table2": ("table2",),
+    ".ablation": ("ablation",),
+    ".export": ("export",),
+    ".cli": ("EXPERIMENTS", "main"),
+})

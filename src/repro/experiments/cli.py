@@ -16,11 +16,12 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..harness import HarnessConfig
-from .common import ExperimentScale
-from . import ablation, fig3, fig4, fig5, fig6, fig7, table1, table2
+if TYPE_CHECKING:  # annotation-only: ``--help`` imports no experiment code
+    from ..harness import HarnessConfig
+    from .common import ExperimentScale
 
 __all__ = ["main", "build_parser", "resolve_harness", "ExperimentSpec",
            "EXPERIMENTS"]
@@ -80,33 +81,40 @@ class ExperimentSpec:
     """One CLI subcommand, declaratively.
 
     Every experiment entry point shares the unified signature
-    ``run(scale, *, progress=None, workers=1)``, so the whole CLI table is
-    data: a runner, a formatter, and (optionally) the name of a
-    ``repro.viz`` renderer.  Calling a spec returns ``(report text, svg
-    text or None)``; the viz module is only imported when ``svg=True``.
+    ``run(scale, *, progress=None, workers=1, harness=None)``, so the whole
+    CLI table is data: the :mod:`repro.experiments` module holding the
+    experiment, the names of its runner and formatter there, and
+    (optionally) the name of a ``repro.viz`` renderer.  The module is only
+    imported when the spec is called, so ``--help``, ``simulate`` and
+    ``analyze`` load no figure or table code.  Calling a spec returns
+    ``(report text, svg text or None)``; keyword ``options`` go to the
+    runner.
     """
 
     name: str
-    run: Callable
-    format: Callable[[object], str]
+    module: str
+    runner: str = "run"
+    formatter: str = "format_result"
     svg_renderer: Optional[str] = None
 
     def __call__(self, scale: ExperimentScale, workers: int = 1,
                  svg: bool = False,
                  harness: Optional[HarnessConfig] = None,
-                 telemetry_out: Optional[str] = None):
-        result = self.run(scale, progress=_progress(self.name),
-                          workers=workers, harness=harness)
+                 telemetry_out: Optional[str] = None, **options):
+        module = import_module(f"{__package__}.{self.module}")
+        result = getattr(module, self.runner)(
+            scale, progress=_progress(self.name), workers=workers,
+            harness=harness, **options)
         coverage = getattr(result, "coverage", None)
         if coverage is not None:
             # stderr, so resumed and fresh runs produce byte-identical
             # stdout reports.
             sys.stderr.write(f"{self.name}: {coverage.summary()}\n")
-        text = self.format(result)
+        text = getattr(module, self.formatter)(result)
         snapshots = _collect_snapshots(result)
         if snapshots:
-            from ..telemetry import (aggregate_snapshots,
-                                     format_telemetry_summary)
+            from ..telemetry.aggregate import (aggregate_snapshots,
+                                               format_telemetry_summary)
 
             summary = format_telemetry_summary(
                 aggregate_snapshots(snapshots))
@@ -128,25 +136,25 @@ class ExperimentSpec:
 #: name → :class:`ExperimentSpec`; call as ``EXPERIMENTS[name](scale,
 #: workers=..., svg=...)`` → ``(report text, svg text or None)``.
 EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
-    ExperimentSpec("fig3", fig3.run, fig3.format_result, "fig3_svg"),
-    ExperimentSpec("fig4", fig4.run, fig4.format_result, "fig4_svg"),
-    ExperimentSpec("fig5", fig5.run, fig5.format_result, "fig5_svg"),
-    ExperimentSpec("fig6", fig6.run, fig6.format_result, "fig6_svg"),
-    ExperimentSpec("fig7", fig7.run, fig7.format_result, "fig7_svg"),
-    ExperimentSpec("table1", table1.run, table1.format_result),
-    ExperimentSpec("table2", table2.run, table2.format_result),
-    ExperimentSpec("priorities", ablation.priority_rules,
-                   ablation.format_priority_result),
-    ExperimentSpec("overlays", ablation.overlay_strategies,
-                   ablation.format_overlay_result),
-    ExperimentSpec("decay", ablation.buffer_decay_ablation,
-                   ablation.format_decay_result),
-    ExperimentSpec("churn", ablation.churn_resilience,
-                   ablation.format_churn_result),
-    ExperimentSpec("faults", ablation.fault_recovery,
-                   ablation.format_fault_result),
-    ExperimentSpec("apps", ablation.multi_app,
-                   ablation.format_multi_app_result),
+    ExperimentSpec("fig3", "fig3", svg_renderer="fig3_svg"),
+    ExperimentSpec("fig4", "fig4", svg_renderer="fig4_svg"),
+    ExperimentSpec("fig5", "fig5", svg_renderer="fig5_svg"),
+    ExperimentSpec("fig6", "fig6", svg_renderer="fig6_svg"),
+    ExperimentSpec("fig7", "fig7", svg_renderer="fig7_svg"),
+    ExperimentSpec("table1", "table1"),
+    ExperimentSpec("table2", "table2"),
+    ExperimentSpec("priorities", "ablation", "priority_rules",
+                   "format_priority_result"),
+    ExperimentSpec("overlays", "ablation", "overlay_strategies",
+                   "format_overlay_result"),
+    ExperimentSpec("decay", "ablation", "buffer_decay_ablation",
+                   "format_decay_result"),
+    ExperimentSpec("churn", "ablation", "churn_resilience",
+                   "format_churn_result"),
+    ExperimentSpec("faults", "ablation", "fault_recovery",
+                   "format_fault_result"),
+    ExperimentSpec("apps", "ablation", "multi_app",
+                   "format_multi_app_result"),
 )}
 
 
@@ -264,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_scale(args: argparse.Namespace) -> ExperimentScale:
+    from .common import ExperimentScale
+
     presets = {
         "default": ExperimentScale(),
         "smoke": ExperimentScale.smoke(),
@@ -311,6 +321,8 @@ def resolve_harness(args: argparse.Namespace) -> HarnessConfig:
     rather than aborting a long sweep; checkpointing only engages when
     ``--checkpoint-dir`` is given.
     """
+    from ..harness.runner import HarnessConfig
+
     return HarnessConfig(
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
@@ -386,25 +398,22 @@ def main(argv: Optional[list] = None) -> int:
         sys.stderr.write("--profile forces --workers 1\n")
         workers = 1
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    experiments = dict(EXPERIMENTS)
+    options = {}
     if args.apps is not None or args.allocator:
         # --apps / --allocator parameterize the multi-app ablation; every
         # other ensemble experiment is single-application by design.
-        from functools import partial
-
-        spec = experiments["apps"]
-        experiments["apps"] = replace(spec, run=partial(
-            spec.run,
+        options["apps"] = dict(
             apps=args.apps if args.apps is not None else 2,
             allocators=tuple(args.allocator) if args.allocator
-            else ("selfish", "maxmin")))
+            else ("selfish", "maxmin"))
     reports = []
     for name in names:
         start = time.time()
         with _profiled(args.profile):
-            report, svg_text = experiments[name](
+            report, svg_text = EXPERIMENTS[name](
                 scale, workers=workers, svg=args.svg is not None,
-                harness=harness, telemetry_out=args.telemetry_out)
+                harness=harness, telemetry_out=args.telemetry_out,
+                **options.get(name, {}))
         elapsed = time.time() - start
         if args.svg and svg_text is not None:
             import os

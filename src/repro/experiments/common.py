@@ -11,20 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..api import simulate
-from ..apps import Workload
+from ..apps.spec import Workload
 from ..errors import ExperimentError
-from ..harness import HarnessConfig, RunCoverage, run_seeds
-from ..metrics import default_threshold, detect_onset
+from ..metrics.onset import default_threshold, detect_onset
 from ..platform.generator import PAPER_DEFAULTS, TreeGeneratorParams, generate_tree
 from ..platform.graph import GRAPH_TOPOLOGIES, generate_platform
-from ..protocols import ProtocolConfig
+from ..protocols.config import ProtocolConfig
 from ..protocols.topologies import topology_overlay
-from ..steady_state import solve_tree
-from ..telemetry.config import TelemetryConfig
-from ..telemetry.probes import TelemetrySnapshot
+from ..steady_state.solver import solve_tree
+
+if TYPE_CHECKING:  # annotation-only: the harness loads when a sweep runs
+    from ..harness import HarnessConfig, RunCoverage
+    from ..telemetry.config import TelemetryConfig
+    from ..telemetry.probes import TelemetrySnapshot
 
 __all__ = ["ExperimentScale", "ConfigOutcome", "TreeCase", "CaseList",
            "run_case", "sweep"]
@@ -245,6 +247,8 @@ def sweep(configs: Sequence[ProtocolConfig], scale: ExperimentScale,
     seeds = [scale.base_seed + i for i in range(scale.trees)]
 
     from functools import partial
+
+    from ..harness.runner import run_seeds
 
     worker_fn = partial(_run_case_for_pool, params=params,
                         configs=tuple(configs), scale=scale,

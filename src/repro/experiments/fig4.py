@@ -10,16 +10,15 @@ non-IC/IB=1 in only 20.18 % (with much longer startup phases).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..harness import HarnessConfig, RunCoverage
-from ..metrics import onset_cdf, percentage_reached
 from ..platform.generator import PAPER_DEFAULTS, TreeGeneratorParams
-from ..protocols import ProtocolConfig
+from ..protocols.config import ProtocolConfig
 from .common import ExperimentScale, TreeCase, sweep
 from .reporting import fmt_pct, format_table
+
+if TYPE_CHECKING:  # annotation-only: FIG4_CONFIGS importers skip the harness
+    from ..harness import HarnessConfig, RunCoverage
 
 __all__ = ["FIG4_CONFIGS", "Fig4Result", "run", "format_result"]
 
@@ -67,6 +66,10 @@ def run(scale: ExperimentScale = ExperimentScale(),
 def summarize(cases: Sequence[TreeCase], scale: ExperimentScale,
               coverage: Optional[RunCoverage] = None) -> Fig4Result:
     """Aggregate a finished sweep into CDFs (reused by Table 1's runner)."""
+    import numpy as np
+
+    from ..metrics.ensemble import onset_cdf, percentage_reached
+
     max_window = scale.tasks // 2
     grid = tuple(int(x) for x in np.linspace(scale.threshold, max_window, 12))
     cdf: Dict[str, Tuple[float, ...]] = {}

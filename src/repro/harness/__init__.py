@@ -25,19 +25,10 @@ The harness preserves the PR 2 guarantee: ``workers=1`` and ``workers=N`` —
 and now fresh vs. resumed runs — produce identical, seed-ordered results.
 """
 
-from .checkpoint import CheckpointStore, SeedJournal, config_digest
-from .pool import RetryPolicy, RunCoverage, SeedFailure, run_supervised
-from .runner import HarnessConfig, SeedSweepOutcome, run_seeds
+from .._exports import export as _export
 
-__all__ = [
-    "CheckpointStore",
-    "SeedJournal",
-    "config_digest",
-    "RetryPolicy",
-    "RunCoverage",
-    "SeedFailure",
-    "run_supervised",
-    "HarnessConfig",
-    "SeedSweepOutcome",
-    "run_seeds",
-]
+__all__ = _export(globals(), {
+    ".checkpoint": ("CheckpointStore", "SeedJournal", "config_digest"),
+    ".pool": ("RetryPolicy", "RunCoverage", "SeedFailure", "run_supervised"),
+    ".runner": ("HarnessConfig", "SeedSweepOutcome", "run_seeds"),
+})

@@ -1,58 +1,19 @@
 """Measurement layer: windowed throughput, onset detection, buffer and
 used-subtree statistics, ensemble aggregation (§4.1 methodology)."""
 
-from .windows import (
-    normalized_window_rates,
-    num_windows,
-    steady_state_rate,
-    window_rate,
-    window_rates,
-)
-from .onset import (
-    PAPER_NUM_TASKS,
-    PAPER_THRESHOLD_WINDOW,
-    default_threshold,
-    detect_onset,
-    reached_optimal,
-)
-from .buffers import buffers_at_completions, reached_within_buffers
-from .usage import UsageStats, histogram_pdf, node_utilization, usage_stats
-from .ensemble import median_or_none, onset_cdf, percentage_reached, summarize
-from .phases import PhaseBreakdown, phase_breakdown
-from .faults import (
-    RecoveryReport,
-    degraded_windows,
-    post_recovery_rate,
-    recovery_latencies,
-    recovery_report,
-)
+from .._exports import export as _export
 
-__all__ = [
-    "window_rate",
-    "window_rates",
-    "normalized_window_rates",
-    "num_windows",
-    "steady_state_rate",
-    "detect_onset",
-    "reached_optimal",
-    "default_threshold",
-    "PAPER_THRESHOLD_WINDOW",
-    "PAPER_NUM_TASKS",
-    "buffers_at_completions",
-    "reached_within_buffers",
-    "UsageStats",
-    "usage_stats",
-    "histogram_pdf",
-    "node_utilization",
-    "median_or_none",
-    "onset_cdf",
-    "percentage_reached",
-    "summarize",
-    "PhaseBreakdown",
-    "phase_breakdown",
-    "RecoveryReport",
-    "recovery_latencies",
-    "post_recovery_rate",
-    "degraded_windows",
-    "recovery_report",
-]
+__all__ = _export(globals(), {
+    ".windows": ("window_rate", "window_rates", "normalized_window_rates",
+                 "num_windows", "steady_state_rate"),
+    ".onset": ("detect_onset", "reached_optimal", "default_threshold",
+               "PAPER_THRESHOLD_WINDOW", "PAPER_NUM_TASKS"),
+    ".buffers": ("buffers_at_completions", "reached_within_buffers"),
+    ".usage": ("UsageStats", "usage_stats", "histogram_pdf",
+               "node_utilization"),
+    ".ensemble": ("median_or_none", "onset_cdf", "percentage_reached",
+                  "summarize"),
+    ".phases": ("PhaseBreakdown", "phase_breakdown"),
+    ".faults": ("RecoveryReport", "recovery_latencies", "post_recovery_rate",
+                "degraded_windows", "recovery_report"),
+})

@@ -10,11 +10,12 @@ period of the steady-state schedule.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
+
+if TYPE_CHECKING:  # the exact rates are pure Python; only plots need numpy
+    import numpy as np
 
 __all__ = ["window_rate", "window_rates", "normalized_window_rates",
            "num_windows", "steady_state_rate"]
@@ -50,6 +51,8 @@ def window_rates(completion_times: Sequence[int]) -> np.ndarray:
     Intended for plotting/reporting; use :func:`window_rate` (exact) or the
     onset detector when comparing against the optimal rate.
     """
+    import numpy as np
+
     times = np.asarray(completion_times, dtype=np.float64)
     n = num_windows(len(times))
     if n == 0:

@@ -10,68 +10,21 @@ contention (max-min / fair-share allocation; see
 case via :meth:`PlatformGraph.from_tree`.
 """
 
-from .tree import PlatformTree, TreeNode
-from .graph import (
-    CONTENTION_MODES,
-    GRAPH_TOPOLOGIES,
-    Overlay,
-    PlatformGraph,
-    build_overlay,
-    generate_platform,
-)
-from .contention import LinkContention, fair_share_rates, max_min_rates
-from .generator import (
-    PAPER_DEFAULTS,
-    TreeGeneratorParams,
-    generate_ensemble,
-    generate_tree,
-)
-from .examples import figure1_tree, figure2a_tree, figure2b_tree
-from .mutation import Mutation, MutationSchedule
-from .churn import ChurnSchedule, JoinEvent, LeaveEvent
-from .faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
-                     EdgeRepairEvent, FaultSchedule, LinkFailureEvent,
-                     LinkRepairEvent, SwitchCrashEvent, chaos_schedule)
-from .serialize import from_dict, from_json, to_dict, to_dot, to_json
-from . import overlay
+from .._exports import export as _export
 
-__all__ = [
-    "PlatformTree",
-    "TreeNode",
-    "PlatformGraph",
-    "Overlay",
-    "build_overlay",
-    "generate_platform",
-    "GRAPH_TOPOLOGIES",
-    "CONTENTION_MODES",
-    "LinkContention",
-    "max_min_rates",
-    "fair_share_rates",
-    "TreeGeneratorParams",
-    "PAPER_DEFAULTS",
-    "generate_tree",
-    "generate_ensemble",
-    "figure1_tree",
-    "figure2a_tree",
-    "figure2b_tree",
-    "Mutation",
-    "MutationSchedule",
-    "ChurnSchedule",
-    "JoinEvent",
-    "LeaveEvent",
-    "CrashEvent",
-    "LinkFailureEvent",
-    "LinkRepairEvent",
-    "EdgeFailureEvent",
-    "EdgeRepairEvent",
-    "SwitchCrashEvent",
-    "DegradeEvent",
-    "FaultSchedule",
-    "chaos_schedule",
-    "to_dict",
-    "from_dict",
-    "to_json",
-    "from_json",
-    "to_dot",
-    "overlay",
-]
+__all__ = _export(globals(), {
+    ".tree": ("PlatformTree", "TreeNode"),
+    ".graph": ("PlatformGraph", "Overlay", "build_overlay",
+               "generate_platform", "GRAPH_TOPOLOGIES", "CONTENTION_MODES"),
+    ".contention": ("LinkContention", "max_min_rates", "fair_share_rates"),
+    ".generator": ("TreeGeneratorParams", "PAPER_DEFAULTS", "generate_tree",
+                   "generate_ensemble"),
+    ".examples": ("figure1_tree", "figure2a_tree", "figure2b_tree"),
+    ".mutation": ("Mutation", "MutationSchedule"),
+    ".churn": ("ChurnSchedule", "JoinEvent", "LeaveEvent"),
+    ".faults": ("CrashEvent", "LinkFailureEvent", "LinkRepairEvent",
+                "EdgeFailureEvent", "EdgeRepairEvent", "SwitchCrashEvent",
+                "DegradeEvent", "FaultSchedule", "chaos_schedule"),
+    ".serialize": ("to_dict", "from_dict", "to_json", "from_json", "to_dot"),
+    ".overlay": ("overlay",),
+})

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PlatformError
+from ..steady_state.solver import solve_tree
 from .tree import PlatformTree
 
 __all__ = [
@@ -209,8 +210,6 @@ class OverlayComparison:
 def compare_overlays(topology: PhysicalTopology, root: int = 0,
                      *, seed: Optional[int] = None) -> List[OverlayComparison]:
     """Build all overlay variants and rank them by optimal steady-state rate."""
-    from ..steady_state import solve_tree  # local import: avoids package cycle
-
     builders = [
         ("bfs", lambda: bfs_overlay(topology, root)),
         ("shortest-path", lambda: shortest_path_overlay(topology, root)),

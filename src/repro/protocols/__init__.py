@@ -9,39 +9,17 @@ Runs start at the package front door, :func:`repro.simulate`::
     print(result.makespan, result.max_buffers)
 """
 
-from .config import PriorityRule, ProtocolConfig, ProtocolVariant
-from .agents import NodeAgent, Transfer
-from .engine import ProtocolEngine
-from .graph_engine import GraphFaultDriver, GraphNodeAgent, GraphProtocolEngine
-from .result import SimulationResult
-from .topologies import (
-    chain_relay_config,
-    leaf_spine_overlay,
-    reassign_orphans,
-    star_service_order,
-    topology_overlay,
-)
-from .trace import Tracer, TraceEvent, ascii_gantt
-from . import trace
+from .._exports import export as _export
 
-__all__ = [
-    "ProtocolConfig",
-    "ProtocolVariant",
-    "PriorityRule",
-    "ProtocolEngine",
-    "GraphProtocolEngine",
-    "GraphFaultDriver",
-    "NodeAgent",
-    "GraphNodeAgent",
-    "Transfer",
-    "SimulationResult",
-    "star_service_order",
-    "chain_relay_config",
-    "leaf_spine_overlay",
-    "topology_overlay",
-    "reassign_orphans",
-    "Tracer",
-    "TraceEvent",
-    "ascii_gantt",
-    "trace",
-]
+__all__ = _export(globals(), {
+    ".config": ("ProtocolConfig", "ProtocolVariant", "PriorityRule"),
+    ".engine": ("ProtocolEngine",),
+    ".graph_engine": ("GraphProtocolEngine", "GraphFaultDriver",
+                      "GraphNodeAgent"),
+    ".agents": ("NodeAgent", "Transfer"),
+    ".result": ("SimulationResult",),
+    ".topologies": ("star_service_order", "chain_relay_config",
+                    "leaf_spine_overlay", "topology_overlay",
+                    "reassign_orphans"),
+    ".trace": ("Tracer", "TraceEvent", "ascii_gantt", "trace"),
+})

@@ -23,7 +23,7 @@ from ..platform.faults import (CrashEvent, FaultSchedule, LinkFailureEvent,
 from ..platform.mutation import Mutation, MutationSchedule
 from ..platform.tree import PlatformTree
 from ..service.driver import OpenLoopDriver
-from ..sim import Environment
+from ..sim.core import Environment
 from ..sim.warp import (REASON_CONTENTION, REASON_DYNAMIC, REASON_OPEN_LOOP,
                         REASON_TELEMETRY, REASON_TRACING, WarpController,
                         WarpSummary)

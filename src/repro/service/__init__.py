@@ -7,17 +7,13 @@ and drop rate does this platform deliver under sustained traffic?".
 See ``docs/architecture.md`` (Service mode) for the design tour.
 """
 
-from .admission import (AdmissionPolicy, AlwaysAdmit, QueueDepthBound,
-                        TokenBucket, parse_admission)
-from .arrivals import (ArrivalProcess, BurstArrivals, DiurnalArrivals,
-                       PeriodicArrivals, PoissonArrivals, parse_arrivals)
-from .driver import OpenLoopDriver
-from .slo import LatencySketch, ServiceStats
+from .._exports import export as _export
 
-__all__ = [
-    "AdmissionPolicy", "AlwaysAdmit", "QueueDepthBound", "TokenBucket",
-    "parse_admission",
-    "ArrivalProcess", "PoissonArrivals", "BurstArrivals",
-    "DiurnalArrivals", "PeriodicArrivals", "parse_arrivals",
-    "OpenLoopDriver", "LatencySketch", "ServiceStats",
-]
+__all__ = _export(globals(), {
+    ".admission": ("AdmissionPolicy", "AlwaysAdmit", "QueueDepthBound",
+                   "TokenBucket", "parse_admission"),
+    ".arrivals": ("ArrivalProcess", "PoissonArrivals", "BurstArrivals",
+                  "DiurnalArrivals", "PeriodicArrivals", "parse_arrivals"),
+    ".driver": ("OpenLoopDriver",),
+    ".slo": ("LatencySketch", "ServiceStats"),
+})

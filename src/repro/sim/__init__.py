@@ -18,12 +18,9 @@ Quick example::
     assert fired == ["ping"] and env.now == 3
 """
 
-from .core import Environment, Infinity, Timer
-from . import monitor
+from .._exports import export as _export
 
-__all__ = [
-    "Environment",
-    "Infinity",
-    "Timer",
-    "monitor",
-]
+__all__ = _export(globals(), {
+    ".core": ("Environment", "Infinity", "Timer"),
+    ".monitor": ("monitor",),
+})

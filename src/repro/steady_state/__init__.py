@@ -6,50 +6,17 @@
 * :mod:`repro.steady_state.bounds` — schedule periods and buffer bounds.
 """
 
-from .fork import (
-    PARTIAL,
-    SATURATED,
-    STARVED,
-    ChildAllocation,
-    ForkSolution,
-    solve_fork,
-)
-from .solver import SteadyStateSolution, solve_tree
-from .allocation import TreeAllocation, allocate
-from .bounds import burst_bound, min_buffers_nonic_fork, schedule_period, tasks_per_period
-from .lp import LpSolution, solve_tree_lp
-from .sensitivity import (
-    CAPACITY_BOUND,
-    UPLINK_BOUND,
-    NodeBottleneck,
-    SensitivityEntry,
-    classify_bottlenecks,
-    rate_sensitivity,
-    top_improvements,
-)
+from .._exports import export as _export
 
-__all__ = [
-    "solve_fork",
-    "ForkSolution",
-    "ChildAllocation",
-    "SATURATED",
-    "PARTIAL",
-    "STARVED",
-    "solve_tree",
-    "SteadyStateSolution",
-    "allocate",
-    "TreeAllocation",
-    "schedule_period",
-    "tasks_per_period",
-    "min_buffers_nonic_fork",
-    "burst_bound",
-    "solve_tree_lp",
-    "LpSolution",
-    "classify_bottlenecks",
-    "rate_sensitivity",
-    "top_improvements",
-    "NodeBottleneck",
-    "SensitivityEntry",
-    "UPLINK_BOUND",
-    "CAPACITY_BOUND",
-]
+__all__ = _export(globals(), {
+    ".fork": ("solve_fork", "ForkSolution", "ChildAllocation", "SATURATED",
+              "PARTIAL", "STARVED"),
+    ".solver": ("solve_tree", "SteadyStateSolution"),
+    ".allocation": ("allocate", "TreeAllocation"),
+    ".bounds": ("schedule_period", "tasks_per_period",
+                "min_buffers_nonic_fork", "burst_bound"),
+    ".lp": ("solve_tree_lp", "LpSolution"),
+    ".sensitivity": ("classify_bottlenecks", "rate_sensitivity",
+                     "top_improvements", "NodeBottleneck",
+                     "SensitivityEntry", "UPLINK_BOUND", "CAPACITY_BOUND"),
+})

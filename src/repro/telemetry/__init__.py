@@ -7,24 +7,16 @@ Disabled by default everywhere — a run only carries probes when a
 overhead model, and ``EXPERIMENTS.md`` for the Perfetto walkthrough.
 """
 
-from .aggregate import (aggregate_snapshots, format_telemetry_summary,
-                        percentile, summarize)
-from .config import TelemetryConfig
-from .export import (chrome_trace, dump_csv, dump_jsonl, export_auto,
-                     iter_jsonl, load_jsonl, multi_app_trace,
-                     write_chrome_trace, write_multi_app_trace)
-from .probes import TelemetryProbe, TelemetrySnapshot
-from .registry import (NULL_REGISTRY, Counter, Gauge, Histogram,
-                       MetricsRegistry, NullRegistry, TimeSeries)
+from .._exports import export as _export
 
-__all__ = [
-    "TelemetryConfig",
-    "TelemetryProbe", "TelemetrySnapshot",
-    "Counter", "Gauge", "Histogram", "TimeSeries",
-    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
-    "dump_jsonl", "iter_jsonl", "load_jsonl", "dump_csv",
-    "chrome_trace", "write_chrome_trace", "multi_app_trace",
-    "write_multi_app_trace", "export_auto",
-    "aggregate_snapshots", "summarize", "percentile",
-    "format_telemetry_summary",
-]
+__all__ = _export(globals(), {
+    ".config": ("TelemetryConfig",),
+    ".probes": ("TelemetryProbe", "TelemetrySnapshot"),
+    ".registry": ("Counter", "Gauge", "Histogram", "TimeSeries",
+                  "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"),
+    ".export": ("dump_jsonl", "iter_jsonl", "load_jsonl", "dump_csv",
+                "chrome_trace", "write_chrome_trace", "multi_app_trace",
+                "write_multi_app_trace", "export_auto"),
+    ".aggregate": ("aggregate_snapshots", "summarize", "percentile",
+                   "format_telemetry_summary"),
+})

@@ -1,7 +1,11 @@
 """Tests for the top-level package surface and assorted uncovered paths."""
 
+import inspect
+import pkgutil
+import re
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -58,6 +62,63 @@ class TestLazyExports:
                     repro.SolverError, repro.ProtocolError,
                     repro.ExperimentError):
             assert issubclass(exc, repro.ReproError)
+
+
+#: Every package in the tree; each serves its ``__all__`` lazily.
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+class TestLazyExportTables:
+    """The export tables cannot drift from the modules behind them."""
+
+    def test_every_package_is_served_lazily(self, package):
+        pkg = import_module(package)
+        assert set(pkg._LAZY_EXPORTS) <= set(pkg.__all__)
+        assert pkg.__getattr__.__module__ == "repro._exports"
+
+    def test_all_names_resolve_to_their_defining_object(self, package):
+        pkg = import_module(package)
+        listing = dir(pkg)
+        for name in pkg.__all__:
+            assert name in listing
+            module_name = pkg._LAZY_EXPORTS.get(name)
+            if module_name is None:  # an eagerly imported name
+                assert name in vars(pkg)
+                continue
+            module = import_module(module_name)
+            if module_name.rpartition(".")[2] == name:
+                assert getattr(pkg, name) is module
+                continue
+            value = getattr(pkg, name)
+            assert value is getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module_name, name
+
+    def test_star_import(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        pkg = import_module(package)
+        for name in pkg.__all__:
+            assert namespace[name] is getattr(pkg, name)
+
+    def test_unknown_name_raises_naming_the_package(self, package):
+        pkg = import_module(package)
+        with pytest.raises(AttributeError, match=re.escape(repr(package))):
+            pkg.definitely_not_exported
+
+    def test_second_access_skips_the_resolver(self, package, monkeypatch):
+        pkg = import_module(package)
+        first = {name: getattr(pkg, name) for name in pkg.__all__}
+
+        def resolver(name):
+            raise AssertionError(f"{package}.{name} resolved twice")
+
+        monkeypatch.setattr(pkg, "__getattr__", resolver)
+        for name, value in first.items():
+            assert getattr(pkg, name) is value
 
 
 class TestModuleEntryPoint:
