@@ -4,7 +4,9 @@ Two suites:
 
 * ``kernel`` — the micro-workloads from ``workloads.py`` plus the
   protocol-engine runs and the contention-churn pair, reported as
-  units/sec (events, tasks, or solver ops).
+  units/sec (events, tasks, or solver ops), each row with the garbage
+  collections per generation its last run paid (``gc_collections``,
+  recorded but never gated).
 * ``sweep``  — end-to-end figure experiments at smoke scale (fig4, fig7,
   fault recovery), reported as tasks/sec and wall seconds per figure,
   plus the tier-1 test suite (``tier1``: one suite run per unit, so adding
@@ -29,6 +31,7 @@ and isolates genuine kernel regressions.
 """
 
 import argparse
+import gc
 import heapq
 import importlib.util
 import json
@@ -73,7 +76,7 @@ def calibrate() -> float:
 
     Pushes ``(time, priority, seq, payload)`` tuples, the calendar's slot
     shape when the committed baselines were first taken.  The calendar now
-    uses ``(time, seq, timer)``; the yardstick stays as it was so every
+    uses ``(key, time, seq, timer)``; the yardstick stays as it was so every
     baseline's ``calibration_ops_per_sec`` remains comparable.
     """
     best = float("inf")
@@ -91,15 +94,22 @@ def calibrate() -> float:
     return CALIBRATION_OPS / best
 
 
+def _collections():
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
 def _measure(fn, arg, repeats):
-    """Min-of-N wall time; returns (units, wall_s)."""
+    """Min-of-N wall time; returns ``(units, wall_s, gc)``, where ``gc`` is
+    the garbage collections per generation the last run paid."""
     units = None
     best = float("inf")
     for _ in range(repeats):
+        before = _collections()
         start = time.perf_counter()
         units = fn(arg)
         best = min(best, time.perf_counter() - start)
-    return units, best
+        collections = [n - b for n, b in zip(_collections(), before)]
+    return units, best, collections
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +153,19 @@ KERNEL_WORKLOADS = [
 def run_kernel_suite(repeats):
     records = []
     for name, fn, arg, unit_kind in KERNEL_WORKLOADS:
-        units, wall = _measure(fn, arg, repeats)
+        units, wall, collections = _measure(fn, arg, repeats)
         records.append({
             "name": name,
             "units": units,
             "unit_kind": unit_kind,
             "wall_s": round(wall, 6),
             "per_sec": round(units / wall, 1),
+            # Informational, never gated: collections per generation.
+            "gc_collections": collections,
         })
         print(f"  {name:<22} {units:>8} {unit_kind:<6} {wall * 1e3:8.1f} ms  "
-              f"{units / wall:>12,.0f} {unit_kind}/s")
+              f"{units / wall:>12,.0f} {unit_kind}/s  "
+              f"gc {'/'.join(map(str, collections))}")
     return records
 
 
@@ -223,7 +236,7 @@ def run_sweep_suite(repeats):
     not missing)."""
     records, skipped = [], []
     for name, fn, unit_kind in SWEEP_WORKLOADS:
-        units, wall = _measure(lambda _: fn(), None, repeats)
+        units, wall, _gc = _measure(lambda _: fn(), None, repeats)
         if units is None:
             print(f"  {name:<22} skipped (test dependencies not installed)")
             skipped.append(name)

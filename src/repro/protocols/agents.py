@@ -349,7 +349,8 @@ class NodeAgent:
     # ------------------------------------------------------------- compute
     def try_start_compute(self) -> None:
         """Feed the local CPU if it is idle and a task is available."""
-        if self.cpu_busy or not self.has_task():
+        if self.cpu_busy or (
+                self.undispensed if self.is_root else self.tasks_held) <= 0:
             return
         self._take_task()
         self.cpu_busy = True
@@ -401,6 +402,13 @@ class NodeAgent:
     def try_send(self) -> None:
         """Start (or resume) the highest-priority eligible transfer."""
         if self.current_transfer is not None:
+            return
+        # Without a shelf or a FIFO queue, :meth:`_choose_next` finds no
+        # child unless a request is announced and a task is available.
+        if not self.shelf and self.fifo_queue is None and (
+                self.child_requests == 0 or (
+                    self.undispensed if self.is_root else self.tasks_held)
+                <= 0):
             return
         child = self._choose_next()
         if child is None:

@@ -25,10 +25,11 @@ States expose three methods the open-loop driver relies on:
 Token-bucket arithmetic is exact so refill at e.g. 1/7 tokens per step
 never drifts — float drift would eventually desynchronize the warp's
 replayed periods from an exact run.  The frozen spec keeps its rate a
-stdlib :class:`fractions.Fraction` (its repr feeds checkpoint digests);
-the per-run state holds rate and tokens as the simulator's
-:class:`~repro.sim.events.FastFraction`, which skips the stdlib's ABC
-dispatch on the once-per-arrival refill.
+stdlib :class:`fractions.Fraction` ``p/q`` (its repr feeds checkpoint
+digests); the per-run state counts tokens in units of ``1/q``, so a
+refill adds ``p`` units per timestep and a grant is a floor division by
+``q``.  The level stays an int while arrival times are ints, and is an
+exact rational when a multi-app lane fires at a fractional time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from ..sim.events import FastFraction
 
 __all__ = ["AdmissionPolicy", "AlwaysAdmit", "QueueDepthBound",
            "TokenBucket", "parse_admission"]
@@ -135,31 +134,34 @@ class TokenBucket(AdmissionPolicy):
 
 
 class _TokenState:
-    __slots__ = ("rate", "burst", "tokens", "last")
+    """Token level as a count of ``1/q`` units, for ``rate = p/q``."""
+
+    __slots__ = ("p", "q", "cap", "level", "last")
 
     def __init__(self, rate, burst):
-        self.rate = FastFraction(rate)
-        self.burst = FastFraction(burst)
-        self.tokens = self.burst  # starts full
+        self.p = rate.numerator
+        self.q = rate.denominator
+        self.cap = burst * self.q
+        self.level = self.cap  # starts full
         self.last = 0
 
     def admit(self, now, count, in_system):
         if now != self.last:
-            tokens = self.tokens + self.rate * (now - self.last)
-            burst = self.burst
-            self.tokens = burst if tokens > burst else tokens
+            level = self.level + self.p * (now - self.last)
+            cap = self.cap
+            self.level = cap if level > cap else level
             self.last = now
-        tokens = self.tokens
-        grant = tokens._numerator // tokens._denominator
+        q = self.q
+        grant = self.level // q
         if grant > count:
             grant = count
         if grant:
-            self.tokens -= grant
+            self.level -= grant * q
         return grant
 
     def fingerprint_state(self, now):
-        tokens = self.tokens
-        return (tokens.numerator, tokens.denominator, now - self.last)
+        # ``q`` is fixed per state, so equal levels are equal token counts.
+        return (self.level, now - self.last)
 
     def shift(self, dt):
         self.last += dt

@@ -31,6 +31,7 @@ bit-identical to the exact run, latency fold included.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Optional
 
 from .admission import AlwaysAdmit
@@ -111,8 +112,10 @@ class OpenLoopDriver:
             self.admitted += grant
             engine.num_tasks += grant
             pending = self.pending
-            for _ in range(grant):
+            if grant == 1:
                 pending.append(now)
+            else:
+                pending.extend(repeat(now, grant))
             if len(pending) > self.pending_high_water:
                 self.pending_high_water = len(pending)
             root = self._root

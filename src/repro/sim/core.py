@@ -80,94 +80,36 @@ class Timer:
         return f"<Timer t={self.time} seq={self.seq} {state}>"
 
 
-class _Entry:
-    """A calendar slot for a *non-integer* time, ordered by ``(time, seq)``.
+#: Above this magnitude not every integer is a float, so a rounded key
+#: could order an int time wrongly against a fraction near it.
+_FLOAT_EXACT = 2.0 ** 53
 
-    The calendar is a mixed heap: integer-time slots are plain
-    ``(time, seq, timer)`` tuples whose comparisons run entirely in C, and
-    only non-integer times (:class:`FastFraction` times on contended graph
-    runs, float times in user code) get one of these.  Tuple entries pay
-    ``__eq__`` *and* ``__lt__`` — two Python-level calls, even on the
-    :class:`FastFraction` fast path — per sift step once fractional times
-    appear, which is the kernel's single hottest operation on contended
-    runs (tuple-only slots measured 5% slower on a 320-host leaf-spine run
-    than this class, with the fast type in both).  The entry instead caches
-    the time's exact integer ratio at construction and compares by integer
-    cross-multiplication, with a float pre-filter in front: float division
-    of two ints is correctly rounded, and correct rounding is monotone, so
-    ``approx(a) < approx(b)`` already proves ``a < b`` — only *equal*
-    approximations fall through to the exact cross-multiply.
 
-    Cross-type comparisons ride Python's reflected-operator fallback:
-    ``tuple.__lt__`` returns ``NotImplemented`` for a non-tuple operand,
-    so ``tuple < entry`` lands in :meth:`__gt__` below.  Every order is
-    mathematically identical to the pure-tuple order for int, float and
-    Fraction times alike (``as_integer_ratio`` is exact for all three),
-    which is what keeps calendars — and fingerprints — bit-identical.
+def _sort_key(time):
+    """First field of a calendar slot: a monotone stand-in for ``time``.
+
+    Int and float times are their own key.  Any other rational time is
+    keyed by its correctly rounded float (rounding is monotone, so
+    ``key(a) < key(b)`` proves ``a < b`` and equal keys fall through to
+    the exact times), unless that float overflows or reaches 2**53, where
+    it could collide with an int it does not equal; there the key is the
+    exact time.
     """
-
-    __slots__ = ("approx", "num", "den", "seq", "time", "timer")
-
-    def __init__(self, time, seq: int, timer: Timer):
-        self.time = time
-        self.seq = seq
-        self.timer = timer
+    if time.__class__ is int or time.__class__ is float:
+        return time
+    try:
         if time.__class__ is FastFraction:
-            num, den = time._numerator, time._denominator
+            key = time._numerator / time._denominator
         else:
-            try:
-                num, den = time.as_integer_ratio()
-            except (OverflowError, ValueError):
-                # Infinite (or NaN) float time: den == 0 makes the exact
-                # comparison below rank it after every finite time.
-                num, den = (1 if time > 0 else -1), 0
-        self.num = num
-        self.den = den
-        try:
-            self.approx = num / den
-        except (OverflowError, ZeroDivisionError):
-            self.approx = float("inf") if num > 0 else float("-inf")
-
-    def __lt__(self, other) -> bool:
-        if other.__class__ is tuple:  # int-time slot
-            lhs = self.num
-            rhs = other[0] * self.den
-            if lhs != rhs:
-                return lhs < rhs
-            return self.seq < other[1]
-        a = self.approx
-        b = other.approx
-        if a < b:
-            return True
-        if b < a:
-            return False
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        if lhs != rhs:
-            return lhs < rhs
-        return self.seq < other.seq
-
-    def __gt__(self, other) -> bool:
-        # Reflected form of ``tuple < entry`` (and ``sorted`` symmetry).
-        if other.__class__ is tuple:
-            lhs = self.num
-            rhs = other[0] * self.den
-            if lhs != rhs:
-                return lhs > rhs
-            return self.seq > other[1]
-        return other.__lt__(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_Entry t={self.time!r} seq={self.seq} {self.timer!r}>"
+            num, den = time.as_integer_ratio()
+            key = num / den
+    except (OverflowError, ValueError):
+        return time
+    return key if -_FLOAT_EXACT < key < _FLOAT_EXACT else time
 
 
 def _noop(*_args: Any) -> None:
     return None
-
-
-def _cancelled_entry(entry) -> bool:
-    """``True`` for a tombstoned slot (either calendar shape)."""
-    return (entry[2] if entry.__class__ is tuple else entry.timer).cancelled
 
 
 def _fired(*_args: Any) -> None:  # sentinel assigned after a timer runs
@@ -191,20 +133,27 @@ class Environment:
 
     Notes
     -----
+    ``now`` is a plain attribute: the event loop sets it before each
+    callback and the warp moves it forward; nothing else writes it.
+
     The calendar orders entries by ``(time, seq)``.  Timers take positive,
     increasing sequence numbers; the stop entry of ``run(until=t)`` takes a
     negative one, so the run stops *before* processing any timer at ``t`` —
     including one scheduled while the run is under way.
+
+    A fired timer holds nothing: :meth:`step` and :meth:`run` both drop its
+    callback and arguments before calling it, so a timer and the objects
+    its callback was given never keep each other alive.
     """
 
     def __init__(self, initial_time: Union[int, float] = 0):
-        self._now = initial_time
-        #: Calendar entries — a mixed heap of two slot shapes sharing the
-        #: ``(time, seq)`` total order: plain ``(time, seq, timer)`` tuples
-        #: for integer times (the common case; comparisons stay entirely
-        #: in C) and :class:`_Entry` objects for non-integer times (their
-        #: cached integer-ratio comparison beats ``Fraction`` dispatch on
-        #: contended graph runs).  Every slot holds a :class:`Timer`.
+        #: Current virtual time.
+        self.now = initial_time
+        #: Calendar entries, one slot shape: ``(key, time, seq, timer)``
+        #: tuples, where ``key`` is :func:`_sort_key` of ``time``.  Equal
+        #: keys fall through to the exact time and then to ``seq``, so the
+        #: heap holds the exact ``(time, seq)`` order and every comparison
+        #: that a key decides runs in C.
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0  # tombstoned timers still sitting in the heap
@@ -214,25 +163,16 @@ class Environment:
         self.trace_hook: Optional[Callable[[Any, Timer], None]] = None
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> Union[int, float]:
-        """Current virtual time."""
-        return self._now
-
     def peek(self) -> Union[int, float]:
         """Time of the next calendar entry, or :data:`Infinity` if empty."""
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry.__class__ is tuple:
-                time, _seq, timer = entry
-            else:
-                time, timer = entry.time, entry.timer
-            if timer.cancelled:
+            if entry[3].cancelled:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
-            return time
+            return entry[1]
         return Infinity
 
     def is_empty(self) -> bool:
@@ -246,17 +186,15 @@ class Environment:
         Returns a :class:`Timer` handle whose :meth:`Timer.cancel` revokes
         the call.  Scheduling in the past raises :class:`SimulationError`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time!r} before now={self._now!r}"
+                f"cannot schedule at t={time!r} before now={self.now!r}"
             )
         seq = self._seq + 1
         self._seq = seq
         timer = Timer(self, time, seq, fn, args)
-        if time.__class__ is int:
-            heappush(self._heap, (time, seq, timer))
-        else:
-            heappush(self._heap, _Entry(time, seq, timer))
+        heappush(self._heap, (time if time.__class__ is int
+                              else _sort_key(time), time, seq, timer))
         return timer
 
     def call_in(self, delay, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -268,14 +206,12 @@ class Environment:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq + 1
         self._seq = seq
         timer = Timer(self, time, seq, fn, args)
-        if time.__class__ is int:
-            heappush(self._heap, (time, seq, timer))
-        else:
-            heappush(self._heap, _Entry(time, seq, timer))
+        heappush(self._heap, (time if time.__class__ is int
+                              else _sort_key(time), time, seq, timer))
         return timer
 
     def schedule(self, delay, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -293,15 +229,11 @@ class Environment:
         """
         heap = self._heap
         while heap:
-            entry = heappop(heap)
-            if entry.__class__ is tuple:
-                time, _seq, timer = entry
-            else:
-                time, timer = entry.time, entry.timer
+            _key, time, _seq, timer = heappop(heap)
             if timer.cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = time
+            self.now = time
             self.processed_count += 1
             if self.trace_hook is not None:
                 self.trace_hook(time, timer)
@@ -324,19 +256,16 @@ class Environment:
         """
         stop_timer = None
         if until is not None:
-            if until < self._now:
+            if until < self.now:
                 raise SimulationError(
-                    f"run(until={until!r}) is in the past (now={self._now!r})"
+                    f"run(until={until!r}) is in the past (now={self.now!r})"
                 )
             # A negative sequence number sorts the stop before every timer
             # at ``until``, even one scheduled after this point.
             self._seq += 1
             seq = -self._seq
             stop_timer = Timer(self, until, seq, self._stop_at, ())
-            if until.__class__ is int:
-                heappush(self._heap, (until, seq, stop_timer))
-            else:
-                heappush(self._heap, _Entry(until, seq, stop_timer))
+            heappush(self._heap, (_sort_key(until), until, seq, stop_timer))
 
         # The event loop proper.  This duplicates :meth:`step` deliberately:
         # inlining the dispatch into one tight loop (with the heap and
@@ -346,27 +275,20 @@ class Environment:
         # mirrored in :meth:`step`.
         heap = self._heap
         pop = heappop
-        tuple_cls = tuple
         try:
             while heap:
-                entry = pop(heap)
-                if entry.__class__ is tuple_cls:
-                    time, _seq, timer = entry
-                else:
-                    time, timer = entry.time, entry.timer
+                _key, time, _seq, timer = pop(heap)
                 if timer.cancelled:
                     self._cancelled -= 1
                     continue
-                self._now = time
+                self.now = time
                 self.processed_count += 1
                 if self.trace_hook is not None:
                     self.trace_hook(time, timer)
-                fn = timer.fn
-                # Mark fired via the fn sentinel only; clearing args too
-                # would cost a second store per event for no observable
-                # difference (the entry is already off the heap).
+                fn, args = timer.fn, timer.args
                 timer.fn = _fired
-                fn(*timer.args)
+                timer.args = ()
+                fn(*args)
         except _StopRun:
             pass  # the stop entry fired: the clock already reads ``until``
         except BaseException:
@@ -389,7 +311,7 @@ class Environment:
         heap = self._heap
         # In-place so the list object keeps its identity: the inlined loop in
         # :meth:`run` holds a local reference to it across callbacks.
-        heap[:] = [entry for entry in heap if not _cancelled_entry(entry)]
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapify(heap)
         self._cancelled = 0
 

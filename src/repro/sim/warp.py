@@ -67,7 +67,7 @@ from heapq import heapify
 from itertools import repeat
 from typing import Optional, Set, TYPE_CHECKING
 
-from .core import _Entry
+from .core import _sort_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
@@ -329,11 +329,11 @@ class WarpController:
             # to come round once more, measuring exact per-period deltas
             # between two *consecutive* occurrences.
             self._armed = (digest, state, _Record(
-                engine.completed, env._now, root.undispensed,
+                engine.completed, env.now, root.undispensed,
                 env.processed_count,
                 tuple((a.computed, a.transfers_started, a.preemptions,
                        a.buffers_decayed) for a in engine.nodes), far,
-                driver.warp_snapshot(env._now) if driver is not None
+                driver.warp_snapshot(env.now) if driver is not None
                 else None))
             if driver is not None:
                 # Collect one period of sojourn latencies: every
@@ -365,7 +365,7 @@ class WarpController:
         """
         engine = self.engine
         env = self.env
-        now = env._now
+        now = env.now
         parts = [anchor_id, engine.buffer_high_water, engine.held_high_water]
         parts.extend([agent.fingerprint_state(now) for agent in engine.nodes])
         driver = engine.service_driver
@@ -378,11 +378,7 @@ class WarpController:
         calendar = []
         far = []
         try:
-            for entry in sorted(env._heap):
-                if entry.__class__ is tuple:
-                    time, _seq, timer = entry
-                else:  # non-int-time slot
-                    time, timer = entry.time, entry.timer
+            for _key, time, _seq, timer in sorted(env._heap):
                 if timer.cancelled:
                     continue
                 fn = timer.fn
@@ -410,7 +406,7 @@ class WarpController:
         """Advance ``k`` whole periods analytically, in place."""
         engine = self.engine
         env = self.env
-        now = env._now
+        now = env.now
         driver = engine.service_driver
         dt = now - prev.now
         dtasks = engine.completed - prev.completed
@@ -531,20 +527,15 @@ class WarpController:
         # never touches them, so shifting them would diverge from it.
         live = []
         for entry in env._heap:
-            if entry.__class__ is tuple:
-                time, seq, timer = entry
-            else:  # non-int-time slot
-                time, seq, timer = entry.time, entry.seq, entry.timer
+            _key, time, seq, timer = entry
             if timer.cancelled:
                 continue
             if time - now > FAR_HORIZON:
                 live.append(entry)
             else:
-                timer.time += shift
-                if entry.__class__ is tuple:
-                    live.append((time + shift, seq, timer))
-                else:
-                    live.append(_Entry(time + shift, seq, timer))
+                time += shift
+                timer.time = time
+                live.append((_sort_key(time), time, seq, timer))
         env._heap[:] = live
         heapify(env._heap)
         env._cancelled = 0
@@ -556,7 +547,7 @@ class WarpController:
             transfer = agent.current_transfer
             if transfer is not None and transfer.started_at is not None:
                 transfer.started_at += shift
-        env._now = now + shift
+        env.now = now + shift
 
         self._finish(True, "warped", periods=k, period_time=dt,
                      period_tasks=dtasks, tasks_skipped=skipped,

@@ -1,8 +1,11 @@
 """Admission-policy semantics and the spec/state split."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (AlwaysAdmit, QueueDepthBound, TokenBucket,
                            parse_admission)
@@ -40,7 +43,7 @@ class TestTokenBucket:
         assert state.admit(0, 5, 0) == 3       # full bucket drained
         assert state.admit(6, 5, 0) == 0       # 6/7 tokens: not yet one
         assert state.admit(7, 5, 0) == 1       # exactly one banked
-        assert state.tokens == 0
+        assert state.level == 0                # no tokens (nor 1/7 units) left
 
     def test_burst_caps_banked_tokens(self):
         state = TokenBucket(rate=1, burst=4).state()
@@ -66,6 +69,67 @@ class TestTokenBucket:
             TokenBucket(rate=0, burst=1)
         with pytest.raises(ValueError):
             TokenBucket(rate=1, burst=0)
+
+
+class _ReferenceBucket:
+    """The token bucket in plain ``Fraction`` tokens: the model the
+    integer-unit state must match."""
+
+    def __init__(self, rate, burst):
+        self.rate = Fraction(rate)
+        self.burst = Fraction(burst)
+        self.tokens = self.burst
+        self.last = 0
+
+    def admit(self, now, count):
+        if now != self.last:
+            self.tokens = min(self.burst,
+                              self.tokens + self.rate * (now - self.last))
+            self.last = now
+        grant = min(count, math.floor(self.tokens))
+        self.tokens -= grant
+        return grant
+
+    def fingerprint_state(self, now):
+        return (self.tokens, now - self.last)
+
+    def shift(self, dt):
+        self.last += dt
+
+
+rates = (st.integers(1, 5)
+         | st.builds("{}/{}".format, st.integers(1, 30), st.integers(1, 30))
+         | st.floats(0.01, 5.0)
+         | st.fractions(Fraction(1, 40), 5, max_denominator=40))
+steps = st.tuples(
+    st.sampled_from(["admit", "shift"]),
+    st.just(0) | st.integers(1, 20)
+    | st.fractions(0, 20, max_denominator=6),   # repeated and fractional
+    st.integers(0, 12))                         # often above the level
+
+
+class TestTokenBucketMatchesReference:
+    @given(rate=rates, burst=st.integers(1, 8),
+           program=st.lists(steps, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_grants_and_fingerprint_classes(self, rate, burst, program):
+        state = TokenBucket(rate=rate, burst=burst).state()
+        reference = _ReferenceBucket(rate, burst)
+        now = 0
+        prints = []
+        for op, dt, count in program:
+            now += dt
+            if op == "shift":
+                state.shift(dt)
+                reference.shift(dt)
+            else:
+                assert state.admit(now, count, 0) == \
+                    reference.admit(now, count)
+            prints.append((state.fingerprint_state(now),
+                           reference.fingerprint_state(now)))
+        for ours, theirs in prints:
+            for ours2, theirs2 in prints:
+                assert (ours == ours2) == (theirs == theirs2)
 
 
 class TestParse:

@@ -151,7 +151,7 @@ class TestRun:
     def test_run_until_time_stops_before_events_at_bound(self, bound):
         # The stop entry sorts before every timer at the bound, including
         # one a callback schedules after run() has put the stop on the
-        # calendar; int and Fraction bounds use the two slot shapes.
+        # calendar; int and Fraction bounds take an int and a float key.
         env = Environment()
         out = []
         env.call_in(5, out.append, "at5")

@@ -59,8 +59,9 @@ class CalendarMachine(RuleBasedStateMachine):
     @rule(offset=st.one_of(st.integers(0, 30),
                            st.fractions(0, 30, max_denominator=4)))
     def run_until(self, offset):
-        # Integer and Fraction bounds put the stop entry in both slot
-        # shapes; a Fraction clock then sends later timers to _Entry slots.
+        # Integer and Fraction bounds key the stop entry by the int itself
+        # and by a rounded float; a Fraction clock then gives later timers
+        # Fraction times and float keys too.
         bound = self.env.now + offset
         before = len(self.fired)
         self.env.run(until=bound)
