@@ -12,11 +12,11 @@ import random
 from dataclasses import replace
 
 from repro.sim import Environment
+from repro.apps import Application, MultiAppEngine
 from repro.platform.contention import LinkContention
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.platform.graph import generate_platform
-from repro.protocols import GraphProtocolEngine, ProtocolConfig, ProtocolEngine
-from repro.protocols.topologies import topology_overlay
+from repro.protocols import ProtocolConfig, ProtocolEngine
 from repro.telemetry import TelemetryConfig
 
 
@@ -97,8 +97,6 @@ def run_engine_multiapp(num_tasks: int = 2000) -> int:
     reallocation on each flow start/finish.  Events are the denominator,
     as for the other 2k runs.
     """
-    from repro.apps import Application, MultiAppEngine
-
     tree = generate_tree(TreeGeneratorParams(min_nodes=60, max_nodes=60),
                          seed=7)
     apps = [Application(num_tasks // 2, name=f"app{i}", priority=i)
@@ -117,9 +115,7 @@ def run_engine_graph_leafspine(num_tasks: int = 2000) -> int:
     never pays.  Events are the denominator, as for the other 2k runs.
     """
     graph = generate_platform("leafspine", seed=7)
-    engine = GraphProtocolEngine(
-        graph, ProtocolConfig.interruptible(3), num_tasks,
-        overlay=topology_overlay(graph))
+    engine = MultiAppEngine(graph, num_tasks, ProtocolConfig.interruptible(3))
     return engine.run().events_processed
 
 
@@ -137,10 +133,8 @@ def run_engine_graph_faults(num_tasks: int = 2000) -> int:
     from repro.platform.faults import chaos_schedule
 
     graph = generate_platform("leafspine", seed=7)
-    engine = GraphProtocolEngine(
-        graph, ProtocolConfig.interruptible(3), num_tasks,
-        overlay=topology_overlay(graph),
-        faults=chaos_schedule(graph, seed=11, events=6))
+    engine = MultiAppEngine(graph, num_tasks, ProtocolConfig.interruptible(3),
+                            faults=chaos_schedule(graph, seed=11, events=6))
     return engine.run().events_processed
 
 
@@ -160,9 +154,7 @@ def run_engine_graph_leafspine_big(num_tasks: int = 2000) -> int:
     denominator.
     """
     graph = generate_platform("leafspine", _BIG_LEAFSPINE_PARAMS, seed=21)
-    engine = GraphProtocolEngine(
-        graph, ProtocolConfig.interruptible(3), num_tasks,
-        overlay=topology_overlay(graph))
+    engine = MultiAppEngine(graph, num_tasks, ProtocolConfig.interruptible(3))
     return engine.run().events_processed
 
 
@@ -174,8 +166,6 @@ def run_engine_multiapp_contended(num_tasks: int = 1800) -> int:
     introduce non-unit volumes so transfers overlap rather than
     completing in lockstep.  Events are the denominator.
     """
-    from repro.apps import Application, MultiAppEngine
-
     tree = generate_tree(TreeGeneratorParams(min_nodes=60, max_nodes=60),
                          seed=7)
     apps = [Application(num_tasks // 3, name=f"app{i}", size=i + 1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Profile the contention kernel under a contended leaf-spine run.
 
-Runs the graph protocol engine on the seed-7 leaf-spine fabric under
+Runs one application on the seed-7 leaf-spine fabric under
 cProfile and prints the top 25 functions by cumulative time, plus the
 solver's own statistics ledger — the first stop when the contention
 kernel shows up hot or a change needs a before/after flame check.
@@ -28,19 +28,17 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.apps import MultiAppEngine
 from repro.platform.contention import LinkContention
 from repro.platform.graph import generate_platform
-from repro.protocols import GraphProtocolEngine, ProtocolConfig
-from repro.protocols.topologies import topology_overlay
+from repro.protocols import ProtocolConfig
 
 
 def profile_engine(tasks: int, incremental: bool, top: int) -> None:
     graph = generate_platform("leafspine", seed=7)
-    manager = LinkContention(graph.link_capacities(), graph.contention,
-                             incremental=incremental)
-    engine = GraphProtocolEngine(
-        graph, ProtocolConfig.interruptible(3), tasks,
-        overlay=topology_overlay(graph), contention=manager)
+    engine = MultiAppEngine(graph, tasks, ProtocolConfig.interruptible(3))
+    manager = engine.contention
+    manager.incremental = incremental
     profiler = cProfile.Profile()
     profiler.enable()
     result = engine.run()

@@ -3,14 +3,17 @@
 ``repro.simulate(platform, workload, config)`` is the only function that
 runs a simulation.  It dispatches on
 
-* the platform type — :class:`~repro.platform.tree.PlatformTree` runs
-  the tree engine, :class:`~repro.platform.graph.PlatformGraph` the
-  overlay + contention engine;
-* the workload shape — a plain int (that many unit tasks) or a
-  :class:`~repro.apps.Workload` without explicit applications runs the
-  single-application engine, while an :class:`~repro.apps.Application`,
-  a list of them, or a ``Workload(apps=...)`` runs the multi-application
-  engine (bit-identical for one default app).
+* the workload shape — an :class:`~repro.apps.Application`, a list of
+  them, or a ``Workload(apps=...)`` runs the multi-application engine
+  (:class:`~repro.apps.engine.MultiAppEngine`, one lane per app);
+* the platform type — for a plain int (that many unit tasks) or a
+  :class:`~repro.apps.Workload` without explicit applications, a
+  :class:`~repro.platform.tree.PlatformTree` runs the tree engine and a
+  :class:`~repro.platform.graph.PlatformGraph` runs the same
+  multi-application engine with one lane.
+
+One default application is bit-identical by fingerprint to the plain
+int; it only adds the per-app result slice.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .platform.graph import Overlay, PlatformGraph
 from .platform.tree import PlatformTree
 from .protocols.config import ProtocolConfig
 from .protocols.engine import ProtocolEngine
-from .protocols.graph_engine import GraphProtocolEngine
 from .protocols.result import SimulationResult
 
 __all__ = ["simulate"]
@@ -89,51 +91,26 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
 
     from .apps.spec import Workload
     workload = Workload.of(workload)
+    if allocator is not None and not workload.is_multi:
+        raise ProtocolError(
+            "allocator= selects the per-app bandwidth split of a "
+            "multi-application run; single-app graph runs use the "
+            "platform's own contention mode")
 
-    if workload.is_multi:
-        from .apps.engine import MultiAppEngine
+    if workload.is_multi or isinstance(platform, PlatformGraph):
         if mutations or churn:
             raise ProtocolError(
                 "dynamic platform schedules (mutations/churn) are "
-                "single-application tree-engine features")
+                "single-application tree-engine features; multi-application "
+                "workloads and graph platforms do not support them")
+        from .apps.engine import MultiAppEngine
         engine = MultiAppEngine(
             platform, workload, config, allocator=allocator,
             overlay=overlay,
             record_buffer_timeline=record_buffer_timeline,
             record_completion_times=record_completion_times,
             faults=faults, check_invariants=check_invariants)
-        if tracer is not None:
-            if isinstance(tracer, (list, tuple)):
-                if len(tracer) != len(engine.lanes):
-                    raise ProtocolError(
-                        f"got {len(tracer)} tracers for "
-                        f"{len(engine.lanes)} applications")
-                for lane, lane_tracer in zip(engine.lanes, tracer):
-                    lane.tracer = lane_tracer
-            else:
-                for lane in engine.lanes:
-                    lane.tracer = tracer
-        return engine.run()
-
-    if allocator is not None:
-        raise ProtocolError(
-            "allocator= selects the per-app bandwidth split of a "
-            "multi-application run; single-app graph runs use the "
-            "platform's own contention mode")
-    if isinstance(platform, PlatformGraph):
-        if mutations or churn:
-            raise ProtocolError(
-                "dynamic platform schedules (mutations/churn) are "
-                "tree-engine features; graph platforms do not support them")
-        if overlay is None:
-            from .protocols.topologies import topology_overlay
-            overlay = topology_overlay(platform)
-        engine = GraphProtocolEngine(
-            platform, config, workload.total_tasks, overlay=overlay,
-            record_buffer_timeline=record_buffer_timeline,
-            record_completion_times=record_completion_times,
-            faults=faults, check_invariants=check_invariants,
-            arrivals=workload.arrivals, admission=workload.admission)
+        lanes = engine.lanes
     else:
         if overlay is not None:
             raise ProtocolError("overlay= only applies to graph platforms")
@@ -144,14 +121,13 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
             record_completion_times=record_completion_times,
             check_invariants=check_invariants,
             arrivals=workload.arrivals, admission=workload.admission)
+        lanes = [engine]
     if tracer is not None:
-        if isinstance(tracer, (list, tuple)):
-            # A 1-list is accepted so callers can treat single- and
-            # multi-app runs uniformly (one tracer per application).
-            if len(tracer) != 1:
-                raise ProtocolError(
-                    f"got {len(tracer)} tracers for 1 application")
-            tracer = tracer[0]
-        engine.tracer = tracer
+        if not isinstance(tracer, (list, tuple)):
+            tracer = [tracer] * len(lanes)
+        elif len(tracer) != len(lanes):
+            raise ProtocolError(
+                f"got {len(tracer)} tracers for {len(lanes)} applications")
+        for lane, lane_tracer in zip(lanes, tracer):
+            lane.tracer = lane_tracer
     return engine.run()
-

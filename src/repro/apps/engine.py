@@ -1,34 +1,37 @@
-"""Multi-application protocol engine: N bandwidth-centric agent sets
-sharing one platform.
+"""The engine of every graph and multi-application run: N lanes of the
+bandwidth-centric protocol sharing one platform.
 
-Each application gets a full, independent set of protocol agents over
-the *same* overlay tree (so every physical node runs N autonomous
+Each application gets a lane, a full and independent set of protocol
+agents (:class:`~repro.protocols.graph_engine.GraphProtocolEngine`) over
+the *same* overlay tree, so every physical node runs N autonomous
 bandwidth-centric schedulers, one per app — Legrand & Touati's
-non-cooperative regime), and all their transfers are fluid flows through
-**one shared** :class:`~repro.platform.contention.LinkContention`
-manager over the physical links.  The per-app bandwidth split is the
-manager's allocator policy:
+non-cooperative regime.  A single-application graph run is simply the
+N=1 case: one lane, with nothing shared with anyone.
+
+The engine owns what the lanes share: the calendar, the private graph
+copy, the overlay, **one** :class:`~repro.platform.contention.
+LinkContention` manager over the physical links (so cross-app rate
+changes reschedule exactly the timers they must) and, under faults, one
+:class:`~repro.protocols.graph_engine.GraphFaultDriver`.  The per-app
+bandwidth split is the manager's allocator policy:
 
 * ``selfish`` — strict-priority filling by ``(app priority, app
   index)``: each app grabs bandwidth greedily in priority order, the
   literal multi-app reading of bandwidth-centric autonomy;
-* ``maxmin`` / ``fairshare`` — the PR 6 cooperative allocators, applied
+* ``maxmin`` / ``fairshare`` — the cooperative allocators, applied
   across all apps' flows at once.
 
-Every lane is a :class:`~repro.protocols.graph_engine.GraphProtocolEngine`
-that (a) shares the coordinator's calendar via ``_make_env`` and (b)
-shares the coordinator's contention manager, so cross-app rate changes
-reschedule exactly the timers they must — on one lane (N=1) nothing is
-shared with anyone, no behaviour changes, and the run is bit-identical
-by fingerprint to the single-app engine (the property-test anchor, same
-pattern as the tree-vs-graph equivalence suite).
+A plain task count returns its lane's result as is; explicit
+applications add the per-app slices and the cooperative optimum.  One
+default application is bit-identical by fingerprint to the plain count,
+which on a tree-shaped graph is bit-identical to the tree engine (the
+golden table in ``tests/test_equivalence_table.py`` pins both).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
 from ..errors import ProtocolError
@@ -38,11 +41,8 @@ from ..platform.graph import Overlay, PlatformGraph
 from ..platform.tree import PlatformTree
 from ..protocols.config import PriorityRule, ProtocolConfig
 from ..protocols.engine import _MIN_RECURSION_LIMIT
-from ..protocols.agents import Transfer
-from ..protocols.graph_engine import (GraphFaultDriver, GraphNodeAgent,
-                                      GraphProtocolEngine)
+from ..protocols.graph_engine import GraphFaultDriver, GraphProtocolEngine
 from ..protocols.result import SimulationResult
-from ..protocols.trace import Tracer
 from ..sim.core import Environment
 from ..sim.warp import REASON_MULTI_APP, WarpSummary
 from ..steady_state.solver import solve_tree
@@ -52,71 +52,17 @@ from .spec import Application, AppResult, Workload
 __all__ = ["MultiAppEngine"]
 
 
-class _AppLaneAgent(GraphNodeAgent):
-    """Graph agent whose transfer volume is the lane's task size."""
-
-    __slots__ = ()
-
-    def _new_transfer(self, child):
-        # Size 1 (an int) makes this byte-for-byte the graph agent's
-        # ``Transfer(child, 1)`` — the N=1 bit-identity lever.
-        return Transfer(child, self.engine._task_size)
-
-
-class _AppLane(GraphProtocolEngine):
-    """One application's agent set, on the coordinator's shared calendar
-    and contention manager."""
-
-    _agent_class = _AppLaneAgent
-    _warp_stand_down = REASON_MULTI_APP
-
-    def __init__(self, owner: "MultiAppEngine", app: Application,
-                 index: int):
-        self._shared_env = owner.env
-        self._task_size = app.size
-        if owner.allocator == "selfish":
-            self._flow_priority = (app.priority, index)
-        self.app = app
-        self.app_index = index
-        super().__init__(
-            owner.graph, owner.config, app.tasks,
-            overlay=owner.lane_overlay(app),
-            record_buffer_timeline=owner.record_buffer_timeline,
-            record_completion_times=owner.record_completion_times,
-            contention=owner.contention,
-            check_invariants=owner.check_invariants,
-            fault_driver=owner.fault_driver,
-            arrivals=app.arrivals, admission=app.admission)
-        # Links are shared *dynamically* through the contention manager;
-        # CPUs are shared *statically* — every physical CPU time-shares
-        # equally among the task-bearing apps, so each lane sees its
-        # compute weights scaled by that count (times the app's task
-        # size).  This keeps aggregate compute capacity at the physical
-        # 1/w, which is what makes price-of-anarchy ≥ 1 meaningful.
-        scale = app.size * owner.cpu_share
-        if scale != 1:
-            # Transfer volume scales with size alone (agent class);
-            # refreshing the cached priority keys only matters under
-            # compute-centric ordering.
-            for agent in self.nodes:
-                agent.w = agent.w * scale
-                agent._refresh_prio_key()
-            for agent in self.nodes:
-                agent.resort_children()
-
-    def _make_env(self) -> Environment:
-        return self._shared_env
-
-
 class MultiAppEngine:
     """One simulation of N concurrent applications on a shared platform.
 
-    Accepts a :class:`PlatformTree` or :class:`PlatformGraph` plus a
+    Accepts a :class:`PlatformTree` (embedded via
+    :meth:`PlatformGraph.from_tree`) or :class:`PlatformGraph` plus a
     :class:`Workload` (or anything :meth:`Workload.of` coerces).  Runs
-    every application's agents on one calendar, collects a per-app
-    :class:`AppResult` slice, and merges them into a single
+    every application's lane on one calendar.  Explicit applications get
+    a per-app :class:`AppResult` slice, merged into a single
     :class:`SimulationResult` whose ``apps``/``cooperative_rate`` fields
-    feed the Jain-index and price-of-anarchy properties.
+    feed the Jain-index and price-of-anarchy properties; a plain task
+    count returns its one lane's result.
 
     A ``faults`` schedule is consumed by one shared
     :class:`~repro.protocols.graph_engine.GraphFaultDriver`: a physical
@@ -144,6 +90,10 @@ class MultiAppEngine:
         if isinstance(platform, PlatformTree):
             platform = PlatformGraph.from_tree(platform)
         if faults:
+            if any(a.arrivals is not None for a in self.apps):
+                raise ProtocolError(
+                    "open-loop arrivals cannot be combined with "
+                    "mutation/churn/fault schedules")
             if config.priority_rule is PriorityRule.FIFO:
                 raise ProtocolError(
                     "faults with FIFO ordering are unsupported (reconciling "
@@ -183,8 +133,9 @@ class MultiAppEngine:
             self.fault_driver = GraphFaultDriver(
                 platform, self.overlay, faults, self.contention,
                 check_invariants=check_invariants)
-        self.lanes: List[_AppLane] = [
-            _AppLane(self, app, i) for i, app in enumerate(self.apps)]
+        self.lanes: List[GraphProtocolEngine] = [
+            GraphProtocolEngine(self, app, i)
+            for i, app in enumerate(self.apps)]
         canon_index = {h: i for i, h in enumerate(self.overlay.hosts)}
         for lane in self.lanes:
             #: Position of each lane row in canonical-overlay host order
@@ -210,16 +161,6 @@ class MultiAppEngine:
     def num_tasks(self) -> int:
         return self.workload.total_tasks
 
-    def attach_tracers(self) -> List[Tracer]:
-        """Give every lane its own protocol tracer (per-app Perfetto
-        lanes); returns them in application order."""
-        tracers = []
-        for lane in self.lanes:
-            tracer = Tracer()
-            lane.tracer = tracer
-            tracers.append(tracer)
-        return tracers
-
     # ----------------------------------------------------------------- run
     def run(self) -> SimulationResult:
         if self._finished:
@@ -234,9 +175,9 @@ class MultiAppEngine:
             sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
         try:
             if self.fault_driver is not None:
-                # Arm here rather than in the first lane's ``_arm``:
-                # staggered arrivals must not delay fault delivery (the
-                # fabric can fail before a late app even starts).
+                # Before any lane's t=0 demand, and never behind a lane's
+                # staggered arrival: the fabric can fail before a late
+                # app even starts.
                 self.fault_driver.arm(self.env)
             for lane in self.lanes:
                 if lane.app.arrival == 0:
@@ -251,6 +192,9 @@ class MultiAppEngine:
     # ------------------------------------------------------------- results
     def _collect(self) -> SimulationResult:
         lane_results = [lane._collect() for lane in self.lanes]
+        if not self.workload.is_multi:
+            # A plain task count is one lane, and its result is the run's.
+            return lane_results[0]
         cooperative = solve_tree(self.overlay.tree).rate
         app_results = tuple(
             self._app_result(lane, result)
@@ -329,7 +273,7 @@ class MultiAppEngine:
             cooperative_rate=cooperative,
         )
 
-    def _app_result(self, lane: _AppLane,
+    def _app_result(self, lane: GraphProtocolEngine,
                     result: SimulationResult) -> AppResult:
         app = lane.app
         driver = lane.service_driver

@@ -194,11 +194,6 @@ class NodeAgent:
         else:
             self.prio_key = (self.c, self.id)
 
-    def _priority_key(self, child: "NodeAgent"):
-        """Priority of ``child`` in this node's schedule (kept for API
-        compatibility; hot paths read ``child.prio_key`` directly)."""
-        return child.prio_key
-
     def resort_children(self) -> None:
         """Recompute the child priority order (start-up and after mutations)."""
         self.sorted_children = sorted(self.children, key=_PRIO_KEY)

@@ -64,8 +64,8 @@ class ProtocolEngine:
     #: engine stands warp down.
     _supports_warp = True
     #: Stand-down reason reported when ``_supports_warp`` is False — always
-    #: one of :data:`repro.sim.warp.STAND_DOWN_REASONS` (the multi-app
-    #: engine substitutes its own member of the set).
+    #: one of :data:`repro.sim.warp.STAND_DOWN_REASONS` (graph lanes
+    #: substitute their own member of the set).
     _warp_stand_down = REASON_CONTENTION
 
     def __init__(self, tree: PlatformTree, config: ProtocolConfig,
@@ -162,8 +162,8 @@ class ProtocolEngine:
         self._build_agents()
 
     def _make_env(self) -> Environment:
-        """Calendar this engine runs on.  The multi-app engine overrides
-        this so several per-application agent sets share one calendar."""
+        """Calendar this engine runs on.  Graph lanes override this so
+        several per-application agent sets share one calendar."""
         return Environment()
 
     # ------------------------------------------------------------- tracing

@@ -1,4 +1,4 @@
-"""Protocol engine for graph platforms: overlays plus link contention.
+"""Protocol lanes for graph platforms: overlays plus link contention.
 
 The autonomous protocols are defined on trees, so a graph run has two
 halves:
@@ -7,10 +7,10 @@ halves:
   (:class:`~repro.platform.graph.Overlay`), on which the unmodified
   protocol logic runs (priorities, buffers, growth, preemption: all of
   :class:`~repro.protocols.agents.NodeAgent`);
-* a **fluid transfer model** — each overlay send is a flow of volume one
-  task over the physical route behind the overlay edge, and concurrent
-  flows sharing a link split its bandwidth per the graph's contention
-  mode (:class:`~repro.platform.contention.LinkContention`).
+* a **fluid transfer model** — each overlay send is a flow of one task's
+  volume over the physical route behind the overlay edge, and concurrent
+  flows sharing a link split its bandwidth per the run's allocator
+  (:class:`~repro.platform.contention.LinkContention`).
 
 :class:`GraphNodeAgent` overrides exactly the three scheduling touch
 points where a tree agent talks to the calendar (start a leg, finish a
@@ -21,32 +21,34 @@ carries at most one flow (the single send port serializes a parent's
 transfers), so no rate ever changes, no timer is ever rescheduled, and
 the event calendar — hence :meth:`SimulationResult.fingerprint` — is
 bit-identical to the tree engine's.  That equivalence is the correctness
-anchor for everything else this engine does, and is enforced by the
-golden table in ``tests/test_equivalence_table.py``.
+anchor for everything else a lane does, and is enforced by the golden
+table in ``tests/test_equivalence_table.py``.
 
-Faults reach a graph run through :class:`GraphFaultDriver`, which mutates
-a private copy of the graph and re-routes every registered lane.
-Mutations and churn remain tree-engine features (``repro.simulate``
-rejects them on graph platforms), and the steady-state warp stands down.
+:class:`GraphProtocolEngine` is one application's agent set, a *lane*.
+:class:`~repro.apps.engine.MultiAppEngine` builds one lane per
+application (a single-application graph run is one lane) and owns what
+the lanes share: the calendar, the private graph copy, the contention
+manager and the :class:`GraphFaultDriver`, which mutates that copy and
+re-routes every lane.  Mutations and churn remain tree-engine features
+(``repro.simulate`` rejects them on graph platforms), and the
+steady-state warp stands down.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
-from ..errors import ProtocolError
 from ..platform.contention import LinkContention, _exact
 from ..platform.faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
                                EdgeRepairEvent, FaultSchedule,
                                LinkFailureEvent, SwitchCrashEvent)
 from ..platform.graph import Overlay, PlatformGraph
-from ..platform.tree import PlatformTree
+from ..sim.core import Environment
 from ..sim.events import FastFraction
-from ..sim.warp import REASON_GRAPH_FAULTS
+from ..sim.warp import REASON_GRAPH_FAULTS, REASON_MULTI_APP
 from . import trace as _trace
 from .agents import NodeAgent, Transfer
-from .config import PriorityRule, ProtocolConfig
 from .engine import ProtocolEngine
 from .topologies import reassign_orphans
 
@@ -73,16 +75,18 @@ class GraphNodeAgent(NodeAgent):
     """A protocol agent whose transfers are fluid flows on a graph.
 
     ``Transfer.remaining`` holds the flow's remaining *volume* in tasks
-    (a full send starts at 1) instead of the tree agent's remaining
-    *time*; with one flow per link the two are related by the constant
-    link rate, which is why every inherited decision rule (including the
-    preemption let-it-finish test) carries over unchanged.
+    (a full send starts at the lane's task size) instead of the tree
+    agent's remaining *time*; with one flow per link the two are related
+    by the constant link rate, which is why every inherited decision rule
+    (including the preemption let-it-finish test) carries over unchanged.
     """
 
     __slots__ = ("route",)
 
     def _new_transfer(self, child: "GraphNodeAgent") -> Transfer:
-        return Transfer(child, 1)  # volume: one task
+        # Volume in tasks; the default size 1 (an int) keeps a unit-task
+        # run's rates and leg times exact integers wherever possible.
+        return Transfer(child, self.engine.task_size)
 
     def _begin_leg(self, transfer: Transfer) -> None:
         engine = self.engine
@@ -139,11 +143,10 @@ class GraphFaultDriver:
     crossing it (in any lane of a multi-app run), shortest paths
     recompute around it, overlay edges re-route, and hosts with no
     remaining route to the repository *park* until the partition heals.
-    The driver owns the shared physical state (the engine's private
-    graph copy and the contention manager) and drives every registered
-    lane — one for a single-app run, one per application under
-    :class:`~repro.apps.engine.MultiAppEngine` — through the same
-    deterministic recovery sequence:
+    The driver owns the shared physical state (the
+    :class:`~repro.apps.engine.MultiAppEngine`'s private graph copy and
+    contention manager) and drives every registered lane — one per
+    application — through the same deterministic recovery sequence:
 
     1. mutate the graph (link up/down, node crash, degrade factor);
     2. kill exactly the flows crossing a failed link and book each loss
@@ -178,7 +181,6 @@ class GraphFaultDriver:
         self.check_invariants = check_invariants
         self.lanes: List["GraphProtocolEngine"] = []
         self.env = None
-        self._armed = False
         #: graph host id -> overlay node id (= agent index in every lane).
         self._oid: Dict[int, int] = {h: i
                                      for i, h in enumerate(overlay.hosts)}
@@ -193,11 +195,7 @@ class GraphFaultDriver:
         return self.overlay.routes[self._oid[host]][0]
 
     def arm(self, env) -> None:
-        """Register every event on the calendar (idempotent: the first
-        lane to arm — or the multi-app coordinator — wins)."""
-        if self._armed:
-            return
-        self._armed = True
+        """Register every event on the calendar."""
         self.env = env
         for event in self.schedule:
             if isinstance(event, EdgeFailureEvent):
@@ -463,90 +461,73 @@ class GraphFaultDriver:
 
 
 class GraphProtocolEngine(ProtocolEngine):
-    """One simulation of ``num_tasks`` tasks on a :class:`PlatformGraph`.
+    """One application's lane of a
+    :class:`~repro.apps.engine.MultiAppEngine` run.
 
-    Accepts a graph (or a plain tree, embedded via
-    :meth:`PlatformGraph.from_tree`) and an optional overlay; without one
-    the graph's default relay overlay is used.  The protocol runs on the
-    overlay tree — result fields indexed "per node" are per *overlay*
-    node, and :attr:`overlay` maps them back to graph hosts (telemetry's
-    per-node lanes inherit the same dense overlay ids).
+    The lane runs the protocol on its overlay tree — result fields
+    indexed "per node" are per *overlay* node, and :attr:`overlay` maps
+    them back to graph hosts (telemetry's per-node lanes inherit the same
+    dense overlay ids).  It shares the owner's calendar, contention
+    manager and fault driver, and sizes the rest by its application:
+    transfer volume (task size), flow priority under the ``selfish``
+    allocator, and compute weights scaled by its CPU share.
     """
 
     _agent_class = GraphNodeAgent
     _supports_warp = False
-    #: Priority tag attached to every flow this engine starts.  ``None``
-    #: under the single-app allocators; the multi-app engine sets a per
-    #: application ``(priority, app index)`` tuple for the ``selfish``
-    #: allocator's strict-priority filling.
+    #: Priority tag attached to every flow this lane starts: ``None``
+    #: except under the ``selfish`` allocator, which fills strictly by
+    #: ``(app priority, app index)``.
     _flow_priority = None
 
-    def __init__(self, platform: Union[PlatformGraph, PlatformTree],
-                 config: ProtocolConfig, num_tasks: int,
-                 overlay: Optional[Overlay] = None,
-                 record_buffer_timeline: bool = False,
-                 record_completion_times: bool = True,
-                 contention: Optional[LinkContention] = None,
-                 faults: Optional[FaultSchedule] = None,
-                 check_invariants: bool = False,
-                 fault_driver: Optional[GraphFaultDriver] = None,
-                 arrivals=None, admission=None):
-        if isinstance(platform, PlatformTree):
-            platform = PlatformGraph.from_tree(platform)
-        if arrivals is not None and (faults or fault_driver is not None):
-            # The base engine's guard only sees its own ``faults``
-            # schedule; graph faults arrive via the driver too.
-            raise ProtocolError(
-                "open-loop arrivals cannot be combined with "
-                "mutation/churn/fault schedules")
-        if fault_driver is not None:
-            # Multi-app: the coordinator's driver already owns a private
-            # graph copy shared by every lane.
-            platform = fault_driver.graph
-            faults = None
-        elif faults:
-            if config.priority_rule is PriorityRule.FIFO:
-                raise ProtocolError(
-                    "faults with FIFO ordering are unsupported (reconciling "
-                    "a failed node's queued requests is ill-defined)")
-            # Fault events mutate link state in place; the caller's graph
-            # must not see them.
-            platform = platform.copy()
-        self.graph = platform
-        self.overlay = overlay if overlay is not None else platform.overlay()
-        # A caller-supplied manager lets several engines (one per
-        # application) contend for the same physical links.
-        self.contention = (contention if contention is not None
-                           else LinkContention(platform.link_capacities(),
-                                               platform.contention))
-        if faults:
-            faults.validate_graph(platform, self.overlay)
-            fault_driver = GraphFaultDriver(
-                platform, self.overlay, faults, self.contention,
-                check_invariants=check_invariants)
-        super().__init__(self.overlay.tree, config, num_tasks,
-                         record_buffer_timeline=record_buffer_timeline,
-                         record_completion_times=record_completion_times,
-                         check_invariants=check_invariants,
-                         arrivals=arrivals, admission=admission)
+    def __init__(self, owner, app, index: int):
+        self.app = app
+        self.app_index = index
+        #: Volume of one task's transfer, in tasks (the app's task size).
+        self.task_size = app.size
+        self.overlay = owner.lane_overlay(app)
+        self.contention = owner.contention
+        self._shared_env = owner.env
+        if owner.allocator == "selfish":
+            self._flow_priority = (app.priority, index)
+        super().__init__(self.overlay.tree, owner.config, app.tasks,
+                         record_buffer_timeline=owner.record_buffer_timeline,
+                         record_completion_times=owner.record_completion_times,
+                         check_invariants=owner.check_invariants,
+                         arrivals=app.arrivals, admission=app.admission)
         routes = self.overlay.routes
         for agent in self.nodes:
             agent.route = routes[agent.id]
-        self._fault_driver = fault_driver
-        if fault_driver is not None:
-            fault_driver.register_lane(self)
+        self._fault_driver = driver = owner.fault_driver
+        if driver is not None:
+            driver.register_lane(self)
             self._warp_stand_down = REASON_GRAPH_FAULTS
             for agent in self.nodes:
                 agent.enable_fault_recovery()
+        elif owner.workload.is_multi:
+            self._warp_stand_down = REASON_MULTI_APP
+        # Links are shared *dynamically* through the contention manager;
+        # CPUs are shared *statically* — every physical CPU time-shares
+        # equally among the task-bearing apps, so each lane sees its
+        # compute weights scaled by that count (times the app's task
+        # size).  This keeps aggregate compute capacity at the physical
+        # 1/w, which is what makes price-of-anarchy >= 1 meaningful.
+        scale = app.size * owner.cpu_share
+        if scale != 1:
+            # Refreshing the cached priority keys only matters under
+            # compute-centric ordering.
+            for agent in self.nodes:
+                agent.w = agent.w * scale
+                agent._refresh_prio_key()
+            for agent in self.nodes:
+                agent.resort_children()
+
+    def _make_env(self) -> Environment:
+        return self._shared_env
 
     def _arm(self) -> None:
-        driver = self._fault_driver
-        if driver is not None:
-            # Fault events register before the t=0 demand announcements,
-            # mirroring the tree engine's schedule-then-phases order.
-            driver.arm(self.env)
         super()._arm()
-        if driver is not None:
+        if self._fault_driver is not None:
             # Anchor the liveness-sweep grids (the base class does so only
             # for its own tree fault path, which is inert here); the
             # driver arms a sweep after each fault that needs one.

@@ -4,14 +4,14 @@ import pytest
 
 from repro import simulate
 from repro.apps import Application, MultiAppEngine
-from repro.apps.engine import _AppLane
 from repro.errors import ProtocolError
 from repro.platform.faults import CrashEvent, FaultSchedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.protocols import ProtocolConfig
 from repro.protocols.engine import ProtocolEngine
 from repro.protocols.graph_engine import GraphProtocolEngine
-from repro.sim.warp import REASON_MULTI_APP, STAND_DOWN_REASONS
+from repro.sim.warp import (REASON_CONTENTION, REASON_GRAPH_FAULTS,
+                            REASON_MULTI_APP, STAND_DOWN_REASONS)
 
 SMALL = TreeGeneratorParams(min_nodes=12, max_nodes=18)
 CONFIG = ProtocolConfig.interruptible(3)
@@ -61,6 +61,17 @@ def test_staggered_arrival_starts_late():
     late = result.apps[1]
     assert min(late.completion_times) > 500
     assert late.duration == late.makespan - 500
+
+
+def test_n1_result_carries_app_slice():
+    tree = generate_tree(seed=3)
+    result = MultiAppEngine(tree, Application(120),
+                            ProtocolConfig.interruptible(3)).run()
+    assert len(result.apps) == 1
+    assert result.apps[0].app.tasks == 120
+    assert result.cooperative_rate is not None
+    # Degenerate runs stay out of the fairness metrics.
+    assert result.jain_index is None
 
 
 def test_allocator_default_is_platform_contention():
@@ -139,7 +150,31 @@ class TestWarpStandDown:
         from the one constant set in ``repro.sim.warp``."""
         assert ProtocolEngine._warp_stand_down in STAND_DOWN_REASONS
         assert GraphProtocolEngine._warp_stand_down in STAND_DOWN_REASONS
-        assert _AppLane._warp_stand_down in STAND_DOWN_REASONS
+        tree = generate_tree(SMALL, seed=11)
+        lanes = MultiAppEngine(tree, _two_apps(), CONFIG).lanes
+        assert [lane._warp_stand_down for lane in lanes] \
+            == [REASON_MULTI_APP, REASON_MULTI_APP]
+
+    def test_graph_result_shape_follows_the_workload(self):
+        """A plain count on a graph is one lane with no app slice; one
+        explicit application adds the slice and the cooperative rate."""
+        from repro.platform import EdgeFailureEvent, EdgeRepairEvent
+        from repro.platform.graph import generate_platform
+
+        graph = generate_platform("star", seed=7)
+        config = ProtocolConfig.interruptible(3, warp=True)
+        plain = simulate(graph, 60, config)
+        assert plain.apps == () and plain.cooperative_rate is None
+        assert plain.warp.reason == REASON_CONTENTION
+        faults = FaultSchedule([EdgeFailureEvent(at_time=10, link=0),
+                                EdgeRepairEvent(at_time=60, link=0)])
+        faulted = simulate(graph, 60, config, faults=faults)
+        assert faulted.apps == () and faulted.cooperative_rate is None
+        assert faulted.warp.reason == REASON_GRAPH_FAULTS
+        one = simulate(graph, Application(60), config)
+        assert len(one.apps) == 1 and one.cooperative_rate is not None
+        assert one.warp.reason == REASON_MULTI_APP
+        assert one.fingerprint() == plain.fingerprint()
 
     def test_contended_graph_reason_is_in_the_set(self):
         from repro.platform.graph import generate_platform

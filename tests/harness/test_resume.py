@@ -177,6 +177,15 @@ def _group_gone(pgid: int) -> bool:
     return False
 
 
+def _journaled_seeds(path: str) -> int:
+    """Seed records a checkpoint journal holds so far (0 before it exists)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return sum('"seed":' in line for line in handle)
+    except FileNotFoundError:
+        return 0
+
+
 class TestKillAndResume:
     """SIGKILL a checkpointed sweep mid-run; the resume must reproduce the
     uninterrupted run bit for bit (stdout report, minus timing lines)."""
@@ -197,7 +206,11 @@ class TestKillAndResume:
         # Let it journal a few seeds, then kill it ungracefully.  If the
         # run happens to finish first the resume below is a pure replay —
         # the equality assertion holds either way, so no flaky timing.
-        time.sleep(2.0)
+        journal = os.path.join(ckpt, "fig4.jsonl")
+        deadline = time.monotonic() + 60
+        while (victim.poll() is None and _journaled_seeds(journal) < 3
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
         # Kill the whole process group: SIGKILL to the CLI alone would
         # orphan its pool workers, which outlive the test run.
         try:

@@ -11,9 +11,10 @@ no timer is rescheduled, and the event calendars coincide exactly.
 import pytest
 
 from repro import simulate
+from repro.apps import MultiAppEngine
 from repro.platform import PlatformGraph, PlatformTree, generate_platform
 from repro.platform.generator import generate_tree
-from repro.protocols import GraphProtocolEngine, ProtocolConfig
+from repro.protocols import ProtocolConfig
 
 SEEDS = [1, 7, 42]
 CONFIGS = [
@@ -58,8 +59,7 @@ class TestTreeBitIdentity:
 
     def test_no_rate_ever_changes_on_a_tree(self):
         tree = generate_tree(seed=3)
-        engine = GraphProtocolEngine(
-            tree, ProtocolConfig.interruptible(3), TASKS)
+        engine = MultiAppEngine(tree, TASKS, ProtocolConfig.interruptible(3))
         engine.run()
         assert engine.contention.rate_changes == 0
 
@@ -95,15 +95,11 @@ class TestContendedDeterminism:
         assert a == b
 
     def test_leafspine_actually_contends(self):
-        from repro.protocols import topology_overlay
-
         graph = generate_platform("leafspine", seed=9)
         # The head-election overlay runs root→head and head→mate flows
         # concurrently over shared access links; the relay overlay would
         # degenerate to a one-level fork serialized by the root's port.
-        engine = GraphProtocolEngine(
-            graph, ProtocolConfig.interruptible(3), 200,
-            overlay=topology_overlay(graph))
+        engine = MultiAppEngine(graph, 200, ProtocolConfig.interruptible(3))
         engine.run()
         assert engine.contention.rate_changes > 0
 

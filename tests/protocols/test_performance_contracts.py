@@ -12,9 +12,8 @@ from repro.platform import PlatformTree, generate_tree
 from repro.platform.faults import (EdgeFailureEvent, EdgeRepairEvent,
                                    chaos_schedule)
 from repro.platform.graph import generate_platform
+from repro.apps import MultiAppEngine
 from repro.protocols import ProtocolConfig
-from repro.protocols.graph_engine import GraphProtocolEngine
-from repro.protocols.topologies import topology_overlay
 
 IC3 = ProtocolConfig.interruptible(3)
 
@@ -87,8 +86,7 @@ class TestRoutingWork:
         schedule = chaos_schedule(graph, seed=1017, events=6)
         faults = sum(isinstance(e, (EdgeFailureEvent, EdgeRepairEvent))
                      for e in schedule.events)
-        engine = GraphProtocolEngine(graph, IC3, 45, faults=schedule,
-                                     overlay=topology_overlay(graph))
+        engine = MultiAppEngine(graph, 45, IC3, faults=schedule)
         engine.run()
         assert faults == 8
         assert engine.graph.nodes_settled <= faults * graph.num_nodes

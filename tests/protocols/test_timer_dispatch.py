@@ -19,12 +19,7 @@ from repro.platform import (
     generate_platform,
 )
 from repro.platform.generator import TreeGeneratorParams, generate_tree
-from repro.protocols import (
-    GraphProtocolEngine,
-    ProtocolConfig,
-    ProtocolEngine,
-    topology_overlay,
-)
+from repro.protocols import ProtocolConfig, ProtocolEngine
 from repro.service import DiurnalArrivals, TokenBucket
 from repro.sim import Timer
 from repro.telemetry import TelemetryConfig
@@ -47,9 +42,7 @@ def graph_link_faults():
     graph = generate_platform("leafspine", seed=7)  # max-min contention
     faults = FaultSchedule([EdgeFailureEvent(at_time=30, link=0),
                             EdgeRepairEvent(at_time=300, link=0)])
-    engine = GraphProtocolEngine(graph, IC3, 150,
-                                 overlay=topology_overlay(graph),
-                                 faults=faults)
+    engine = MultiAppEngine(graph, 150, IC3, faults=faults)
     return engine, lambda result: result.transfers_wasted
 
 

@@ -136,16 +136,20 @@ def _twin_runs():
             for tasks in (200, 500, 1000):
                 yield (f"tree=graph/seed{seed}/{tasks}/{preset}",
                        Run(tree, tasks, config), Run(graph, tasks, config))
-            for tasks in (200, 500):
+            for tasks in (150, 200, 300, 500):
                 yield (f"single=n1/tree/seed{seed}/{tasks}/{preset}",
                        Run(tree, tasks, config),
                        Run(tree, Application(tasks), config))
+    tree = generate_tree(seed=3)
+    yield ("single=n1/tree/seed3/200/ic3", Run(tree, 200, PRESETS["ic3"]),
+           Run(tree, Application(200), PRESETS["ic3"]))
     for shape in SHAPES:
         graph = generate_platform(shape, seed=7)
         for preset, config in PRESETS.items():
-            yield (f"single=n1/{shape}/300/{preset}",
-                   Run(graph, 300, config),
-                   Run(graph, Application(300), config))
+            for tasks in (150, 300):
+                yield (f"single=n1/{shape}/{tasks}/{preset}",
+                       Run(graph, tasks, config),
+                       Run(graph, Application(tasks), config))
         # The identity survives fault injection: one lane under the
         # shared GraphFaultDriver is the single-app fault run.
         chaos = dict(faults=chaos_schedule(graph, seed=11),
@@ -172,7 +176,7 @@ def test_twin_fingerprints_identical(name):
 
 def test_table_covers_every_pin():
     assert set(PINNED_RUNS) == set(PINNED)
-    assert len(TWIN_RUNS) == 27 + 18 + 9 + 3
+    assert len(TWIN_RUNS) == 27 + 37 + 18 + 3
 
 
 def _service_tree():
