@@ -17,11 +17,11 @@ Two suites:
 ``--json OUT`` writes the committed ``BENCH_kernel.json`` /
 ``BENCH_sweep.json`` trajectory files.  ``--check BASELINE`` compares the
 current machine against a committed baseline and exits non-zero on a
->``--max-regression`` throughput drop.  ``--gate-telemetry BASELINE``
-additionally enforces the telemetry cost budget: the telemetry-off hot
-path must not drift from the baseline, and the telemetry-on run must stay
-within a bounded overhead of its telemetry-off twin (see
-:func:`gate_telemetry`).
+>``--max-regression`` throughput drop; on the kernel suite it also
+enforces every ratio gate of :data:`RATIO_GATES` (warp, open-loop warp,
+contention kernel, telemetry overhead) within the current report.
+``--gate-telemetry BASELINE`` additionally checks that the telemetry-off
+hot path has not drifted from the baseline (see :func:`gate_telemetry`).
 
 Raw events/sec is meaningless across machines (a laptop baseline would gate
 a slower CI runner red forever), so every record carries a
@@ -35,6 +35,7 @@ import gc
 import heapq
 import importlib.util
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -120,7 +121,7 @@ KERNEL_WORKLOADS = [
     # (name, fn, arg, unit_kind) — args mirror test_bench_kernel.py exactly.
     # The 10k pair counts *tasks* (not events): the warped run deliberately
     # skips events, so tasks/sec is the only denominator the two share —
-    # their per_sec ratio is the warp speedup the CI gate checks.
+    # their per_sec ratio is the warp speedup RATIO_GATES checks.
     ("timer_storm", run_timer_storm, 20_000, "events"),
     ("engine_ic_fb3", run_engine_ic, 2_000, "events"),
     ("engine_non_ic_fb2", run_engine_non_ic, 2_000, "events"),
@@ -132,7 +133,7 @@ KERNEL_WORKLOADS = [
     ("engine_multiapp_contended", run_engine_multiapp_contended, 1_800,
      "events"),
     # The churn pair drives LinkContention directly (no calendar); their
-    # per_sec ratio is the incremental-kernel speedup the CI gate checks.
+    # per_sec ratio is the incremental-kernel speedup RATIO_GATES checks.
     ("contention_churn", run_contention_churn, 20_000, "ops"),
     ("contention_churn_reference", run_contention_churn_reference, 1_200,
      "ops"),
@@ -141,13 +142,45 @@ KERNEL_WORKLOADS = [
     ("engine_ic_10k_telemetry", run_engine_ic_10k_telemetry, 10_000, "tasks"),
     # Service-mode (open-loop) runs: the diurnal day measures the exact
     # arrival/admission/sketch hot path; the periodic pair's per_sec
-    # ratio is the open-loop warp speedup the CI gate checks.
+    # ratio is the open-loop warp speedup RATIO_GATES checks.
     ("engine_arrivals_diurnal", run_engine_arrivals_diurnal, 40_000,
      "events"),
     ("engine_arrivals_10k", run_engine_arrivals_10k, 10_000, "tasks"),
     ("engine_arrivals_10k_warp", run_engine_arrivals_10k_warp, 10_000,
      "tasks"),
 ]
+
+
+#: Same-report ratio gates of the kernel suite (``compare_mode: divide``:
+#: the numerator row's ``per_sec`` over the denominator row's).  Both rows
+#: run seconds apart on one machine, so the raw ratio needs no
+#: calibration.  ``better: higher`` passes when the ratio is at least
+#: ``bound``, ``better: lower`` when it is at most ``bound``.
+RATIO_GATES = [
+    # Locally the warp is ~17x; 3x leaves headroom for CI noise while
+    # still catching a warp that silently stopped engaging (ratio ~1).
+    {"name": "warp_speedup", "numerator": "engine_ic_10k_warp",
+     "denominator": "engine_ic_10k", "compare_mode": "divide",
+     "better": "higher", "bound": 3.0},
+    # Locally ~26x; catches a warp that stands down under periodic
+    # arrivals.  tests/test_equivalence_table.py separately pins the
+    # warped run's fingerprint and latency fold bit-for-bit.
+    {"name": "open_loop_warp_speedup", "numerator": "engine_arrivals_10k_warp",
+     "denominator": "engine_arrivals_10k", "compare_mode": "divide",
+     "better": "higher", "bound": 5.0},
+    # Locally ~25x; catches a kernel that silently fell back to
+    # from-scratch solves (ratio ~1).
+    {"name": "contention_speedup", "numerator": "contention_churn",
+     "denominator": "contention_churn_reference", "compare_mode": "divide",
+     "better": "higher", "bound": 5.0},
+    # The sampling probe at its default period costs at most 10%: the
+    # telemetry-on run keeps >= 90% of the telemetry-off throughput.
+    {"name": "telemetry_overhead", "numerator": "engine_ic_10k_telemetry",
+     "denominator": "engine_ic_10k", "compare_mode": "divide",
+     "better": "higher", "bound": 0.90},
+]
+
+_COMPARE_MODES = {"divide": operator.truediv}
 
 
 def run_kernel_suite(repeats):
@@ -349,50 +382,67 @@ def check_against(report, baseline_path, max_regression):
     return 0
 
 
-def gate_telemetry(report, baseline_path, max_drift, max_overhead):
-    """Two-sided telemetry cost gate; exit 1 on either breach.
-
-    * **drift** — telemetry-*off* ``engine_ic_10k`` must stay within
-      ``max_drift`` (calibration-normalized) of the committed baseline:
-      the probe hooks on the hot path must cost nothing when disabled.
-    * **overhead** — ``engine_ic_10k_telemetry`` must run within
-      ``max_overhead`` of ``engine_ic_10k`` *from the same report*: both
-      were measured seconds apart on the same machine, so the raw
-      per_sec ratio needs no normalization and isolates exactly the
-      sampling probe's cost at the default period.
-    """
+def check_ratio_gates(report):
+    """Exit 1 if a :data:`RATIO_GATES` row misses its bound, or if either
+    of its rows is missing from the report."""
     by_name = {b["name"]: b for b in report["benchmarks"]}
-    off = by_name.get("engine_ic_10k")
-    on = by_name.get("engine_ic_10k_telemetry")
-    if off is None or on is None:
-        print("\ntelemetry gate: FAIL — engine_ic_10k/_telemetry missing "
-              "from this report (run the kernel suite)")
+    print("\nratio gates (same report)")
+    failed = []
+    for gate in RATIO_GATES:
+        name = gate["name"]
+        numerator = by_name.get(gate["numerator"])
+        denominator = by_name.get(gate["denominator"])
+        if numerator is None or denominator is None:
+            print(f"  {name:<22} MISSING — {gate['numerator']} or "
+                  f"{gate['denominator']} not run")
+            failed.append(name)
+            continue
+        ratio = _COMPARE_MODES[gate["compare_mode"]](
+            numerator["per_sec"], denominator["per_sec"])
+        bound = gate["bound"]
+        if gate["better"] == "higher":
+            ok, sign = ratio >= bound, ">="
+        else:
+            ok, sign = ratio <= bound, "<="
+        if not ok:
+            failed.append(name)
+        print(f"  {name:<22} {ratio:6.2f}x  (gate: {sign} {bound}x)  "
+              f"{'ok' if ok else 'FAIL'}")
+    if failed:
+        print(f"\nFAIL: ratio gates breached: {', '.join(failed)}")
+        return 1
+    print("\nall ratio gates hold")
+    return 0
+
+
+def gate_telemetry(report, baseline_path, max_drift):
+    """Telemetry drift gate; exit 1 on a breach.
+
+    Telemetry-*off* ``engine_ic_10k`` must stay within ``max_drift``
+    (calibration-normalized) of the committed baseline: the probe hooks
+    on the hot path must cost nothing when disabled.  The telemetry-*on*
+    overhead is the ``telemetry_overhead`` row of :data:`RATIO_GATES`.
+    """
+    off = {b["name"]: b for b in report["benchmarks"]}.get("engine_ic_10k")
+    if off is None:
+        print("\ntelemetry gate: FAIL — engine_ic_10k missing from this "
+              "report (run the kernel suite)")
         return 1
 
-    failed = False
     print(f"\ntelemetry gate vs {baseline_path}")
-
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     base = {b["name"]: b for b in baseline["benchmarks"]}.get("engine_ic_10k")
     if base is None:
         print("  drift:    baseline has no engine_ic_10k record — skipped")
-    else:
-        normalized = ((off["per_sec"] / report["calibration_ops_per_sec"])
-                      / (base["per_sec"] / baseline["calibration_ops_per_sec"]))
-        drift = 1.0 - normalized
-        verdict = "ok" if drift <= max_drift else "FAIL"
-        failed |= drift > max_drift
-        print(f"  drift:    telemetry-off engine_ic_10k {normalized:.3f}x "
-              f"normalized vs baseline (gate: -{max_drift:.0%})  {verdict}")
-
-    overhead = 1.0 - on["per_sec"] / off["per_sec"]
-    verdict = "ok" if overhead <= max_overhead else "FAIL"
-    failed |= overhead > max_overhead
-    print(f"  overhead: telemetry-on {overhead:+.1%} vs telemetry-off "
-          f"(gate: +{max_overhead:.0%})  {verdict}")
-
-    if failed:
+        return 0
+    normalized = ((off["per_sec"] / report["calibration_ops_per_sec"])
+                  / (base["per_sec"] / baseline["calibration_ops_per_sec"]))
+    drift = 1.0 - normalized
+    verdict = "ok" if drift <= max_drift else "FAIL"
+    print(f"  drift:    telemetry-off engine_ic_10k {normalized:.3f}x "
+          f"normalized vs baseline (gate: -{max_drift:.0%})  {verdict}")
+    if drift > max_drift:
         print("\nFAIL: telemetry cost gate breached")
         return 1
     print("\ntelemetry cost within budget")
@@ -412,14 +462,11 @@ def main(argv=None):
     parser.add_argument("--max-regression", type=float, default=0.20,
                         help="allowed normalized throughput drop (0.20)")
     parser.add_argument("--gate-telemetry", metavar="BASELINE",
-                        help="enforce the telemetry cost gate against a "
-                             "committed BENCH_kernel.json")
+                        help="enforce the telemetry-off drift gate against "
+                             "a committed BENCH_kernel.json")
     parser.add_argument("--telemetry-max-drift", type=float, default=0.03,
                         help="allowed normalized drop of telemetry-off "
                              "engine_ic_10k vs baseline (0.03)")
-    parser.add_argument("--telemetry-max-overhead", type=float, default=0.10,
-                        help="allowed slowdown of engine_ic_10k_telemetry vs "
-                             "engine_ic_10k in the same report (0.10)")
     args = parser.parse_args(argv)
 
     repeats = args.repeats
@@ -453,10 +500,11 @@ def main(argv=None):
     status = 0
     if args.check:
         status |= check_against(report, args.check, args.max_regression)
+        if args.suite == "kernel":
+            status |= check_ratio_gates(report)
     if args.gate_telemetry:
         status |= gate_telemetry(report, args.gate_telemetry,
-                                 args.telemetry_max_drift,
-                                 args.telemetry_max_overhead)
+                                 args.telemetry_max_drift)
     return status
 
 

@@ -82,6 +82,12 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
         multi-application workload, pass a sequence of tracers — one per
         application, giving each app its own lane set — or a single
         tracer shared by every application.
+    record_buffer_timeline / record_completion_times:
+        Record the per-completion high-water marks (off by default) and
+        completion times (on).  Turning completion times off keeps an
+        exact run's result O(1) in the task count.  A warped run needs
+        no such switch to bound its memory: it stores each timeline as
+        one period (:class:`~repro.sim.warp.PeriodicTimeline`).
     """
     if not isinstance(config, ProtocolConfig):
         raise ProtocolError(

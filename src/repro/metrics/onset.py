@@ -11,9 +11,11 @@ The threshold window (300 for the paper's 10 000-task runs) scales with the
 application size; :func:`default_threshold` keeps the paper's 300-per-10 000
 proportion for scaled-down runs.
 
-Steady-state warp (:mod:`repro.sim.warp`) replicates the completion times
-of every skipped period verbatim, so onset detection on a warped run sees
-the same sequence — and returns the same window — as on the exact run.
+Steady-state warp (:mod:`repro.sim.warp`) keeps the completion times of
+the skipped periods as one period (a ``PeriodicTimeline``) that indexes
+exactly like the exact run's tuple, so onset detection on a warped run
+sees the same sequence — and returns the same window — as on the exact
+run.
 Runs started with ``record_completion_times=False`` have no completion
 times at all; :func:`detect_onset` then (vacuously) returns ``None``, so
 keep recording on when onsets matter.

@@ -53,7 +53,9 @@ def window_rates(completion_times: Sequence[int]) -> np.ndarray:
     """
     import numpy as np
 
-    times = np.asarray(completion_times, dtype=np.float64)
+    # One C pass over any sequence: np.asarray would read a non-tuple
+    # (a warped run's PeriodicTimeline) item by item.
+    times = np.fromiter(completion_times, np.float64, len(completion_times))
     n = num_windows(len(times))
     if n == 0:
         return np.empty(0)

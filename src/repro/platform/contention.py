@@ -111,6 +111,12 @@ def _fast(value):
     return value
 
 
+def _rational(cap):
+    """An int capacity as a :class:`FastFraction`, so shares of it stay
+    exact (``3 / 2`` would be a float); other capacities pass through."""
+    return FastFraction(cap) if type(cap) is int else cap
+
+
 def max_min_rates(flows: Mapping[FlowId, Sequence[int]],
                   capacities: Mapping[int, Fraction],
                   ) -> Dict[FlowId, Fraction]:
@@ -144,7 +150,7 @@ def max_min_rates(flows: Mapping[FlowId, Sequence[int]],
         cap = capacities.get(link)
         if cap is None:
             raise PlatformError(f"flow crosses unknown link {link}")
-        remaining[link] = cap
+        remaining[link] = _rational(cap)
         counts[link] = len(link_flows[link])
     unfrozen = len(flows)
     while unfrozen:
@@ -192,7 +198,7 @@ def fair_share_rates(flows: Mapping[FlowId, Sequence[int]],
             cap = capacities.get(link)
             if cap is None:
                 raise PlatformError(f"flow crosses unknown link {link}")
-            s = cap / counts[link]
+            s = _rational(cap) / counts[link]
             if share is None or s < share:
                 share = s
         rates[fid] = share

@@ -25,8 +25,8 @@ from ..platform.tree import PlatformTree
 from ..service.driver import OpenLoopDriver
 from ..sim.core import Environment
 from ..sim.warp import (REASON_CONTENTION, REASON_DYNAMIC, REASON_OPEN_LOOP,
-                        REASON_TELEMETRY, REASON_TRACING, WarpController,
-                        WarpSummary)
+                        REASON_TELEMETRY, REASON_TRACING, PeriodicTimeline,
+                        WarpController, WarpSummary)
 from . import trace as _trace
 from .agents import NodeAgent
 from .config import PriorityRule, ProtocolConfig
@@ -143,6 +143,11 @@ class ProtocolEngine:
         self.held_high_water = 0
         self.buffer_timeline: List[int] = []
         self.held_timeline: List[int] = []
+        #: Timelines the warp replays, by attribute name: ``(head, template,
+        #: periods, Δ)``.  The list under that name then records only the
+        #: tail after the warp, and :meth:`_collect` joins the parts into
+        #: a :class:`~repro.sim.warp.PeriodicTimeline`.
+        self._replayed: Dict[str, tuple] = {}
         self._task_mutations = self.mutations.task_triggered()
         self._next_task_mutation = 0
         self._finished = False
@@ -557,6 +562,24 @@ class ProtocolEngine:
             sys.setrecursionlimit(limit)
         return self._collect()
 
+    def replay_timeline(self, name: str, start: int, periods: int,
+                        delta) -> None:
+        """Repeat the recorded timeline ``name`` from index ``start`` to
+        its end ``periods`` times, shifted by ``delta`` a period (the warp's
+        skipped span); what the run records next is the tail after it."""
+        recorded = getattr(self, name)
+        self._replayed[name] = (recorded, recorded[start:], periods, delta)
+        setattr(self, name, [])
+
+    def _timeline(self, name: str) -> Sequence:
+        """The recorded timeline ``name``: a tuple, or a
+        :class:`~repro.sim.warp.PeriodicTimeline` if the warp replayed it."""
+        tail = getattr(self, name)
+        replayed = self._replayed.get(name)
+        if replayed is None:
+            return tuple(tail)
+        return PeriodicTimeline(*replayed, tail)
+
     def _collect(self) -> SimulationResult:
         """Check the conservation invariant and assemble the result."""
         if self.completed != self.num_tasks:  # pragma: no cover - invariant
@@ -571,12 +594,12 @@ class ProtocolEngine:
             tree=self.tree,
             config=self.config,
             num_tasks=self.num_tasks,
-            completion_times=tuple(self.completion_times),
+            completion_times=self._timeline("completion_times"),
             per_node_computed=tuple(a.computed for a in self.nodes),
             per_node_max_buffers=tuple(a.max_buffers_seen for a in self.nodes),
             per_node_max_held=tuple(a.max_held_seen for a in self.nodes),
-            buffer_high_water_at_completion=tuple(self.buffer_timeline),
-            held_high_water_at_completion=tuple(self.held_timeline),
+            buffer_high_water_at_completion=self._timeline("buffer_timeline"),
+            held_high_water_at_completion=self._timeline("held_timeline"),
             departed_node_ids=tuple(a.id for a in self.nodes if a.departed),
             buffers_decayed=sum(a.buffers_decayed for a in self.nodes),
             preemptions=sum(a.preemptions for a in self.nodes),

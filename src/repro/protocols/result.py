@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..platform.tree import PlatformTree
-from ..sim.warp import WarpSummary
+from ..sim.warp import PeriodicTimeline, WarpSummary
 from .config import ProtocolConfig
 
 if TYPE_CHECKING:  # annotation-only: the telemetry package imports protocols
@@ -18,6 +19,32 @@ if TYPE_CHECKING:  # annotation-only: the telemetry package imports protocols
 
 __all__ = ["SimulationResult"]
 
+#: Items of a long sequence part whose ``repr`` is built at once.
+_REPR_CHUNK = 4096
+
+
+def update_repr(digest, part) -> None:
+    """Feed ``digest`` exactly the bytes of ``repr(part)``.
+
+    A tuple or :class:`~repro.sim.warp.PeriodicTimeline` part goes in
+    ``_REPR_CHUNK`` items at a time, so a million-task timeline never
+    has its whole ``repr`` (nor the tuple behind it) in memory at once.
+    """
+    if type(part) is not tuple and type(part) is not PeriodicTimeline:
+        digest.update(repr(part).encode("utf-8"))
+        return
+    items = iter(part)
+    digest.update(b"(")
+    separator = b""
+    while True:
+        chunk = tuple(islice(items, _REPR_CHUNK))
+        if not chunk:
+            break
+        digest.update(separator)
+        digest.update(", ".join(map(repr, chunk)).encode("utf-8"))
+        separator = b", "
+    digest.update(b",)" if len(part) == 1 else b")")
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -25,14 +52,18 @@ class SimulationResult:
 
     Completion times are in virtual timesteps and non-decreasing;
     ``completion_times[i]`` is when the ``i+1``-th task finished computing.
+    A run the steady-state warp fast-forwarded returns each timeline as a
+    :class:`~repro.sim.warp.PeriodicTimeline` (one stored period, equal to
+    the exact run's tuple in every respect); other runs return tuples.
     """
 
     #: The platform as it stood at the *end* of the run (mutations applied).
     tree: PlatformTree
     config: ProtocolConfig
     num_tasks: int
-    #: Time of each task completion (length == num_tasks).
-    completion_times: Tuple[int, ...]
+    #: Time of each task completion (length == num_tasks; empty if not
+    #: recorded).  A tuple, or a ``PeriodicTimeline`` on warped runs.
+    completion_times: Sequence[int]
     #: Tasks computed by each node (length == tree.num_nodes).
     per_node_computed: Tuple[int, ...]
     #: High-water buffer *pool* size of each node (grown buffers).
@@ -41,10 +72,11 @@ class SimulationResult:
     #: "buffers used" figure Tables 1 and 2 are read against (the root's
     #: repository is not buffered, so its entry is 0).
     per_node_max_held: Tuple[int, ...]
-    #: Global pool high-water as of each completion (empty if not recorded).
-    buffer_high_water_at_completion: Tuple[int, ...]
-    #: Global occupied high-water as of each completion (empty if not recorded).
-    held_high_water_at_completion: Tuple[int, ...]
+    #: Global pool high-water as of each completion (empty if not recorded;
+    #: a ``PeriodicTimeline`` on warped runs, like ``completion_times``).
+    buffer_high_water_at_completion: Sequence[int]
+    #: Global occupied high-water as of each completion (likewise).
+    held_high_water_at_completion: Sequence[int]
     #: Nodes that left the pool during the run (graceful churn departures).
     departed_node_ids: Tuple[int, ...]
     #: Total buffers shed by decay across all nodes (0 unless enabled).
@@ -147,7 +179,7 @@ class SimulationResult:
         of whole objects.
         """
         digest = hashlib.sha256()
-        parts = (
+        fields = (
             self.config.label, self.num_tasks,
             self.completion_times, self.per_node_computed,
             self.per_node_max_buffers, self.per_node_max_held,
@@ -160,24 +192,20 @@ class SimulationResult:
             self.crash_times, self.reclaim_times,
             self.last_completion_time,
         )
-        for part in parts:
-            digest.update(repr(part).encode("utf-8"))
-            digest.update(b"\x1f")
+        groups = [fields]
         if self.service is not None:
             # Closed-bag runs must fingerprint exactly as they did before
             # service mode existed, so the service fold only enters the
             # digest when an arrival process was actually driving.
-            for part in self.service.fingerprint_parts():
-                digest.update(repr(part).encode("utf-8"))
-                digest.update(b"\x1f")
+            groups.append(self.service.fingerprint_parts())
         if len(self.apps) > 1:
             # N=1 multi-app runs must fingerprint bit-identically to the
             # single-app engine, so per-app parts only enter the digest
             # when there genuinely is more than one application.
-            for app in self.apps:
-                for part in app.fingerprint_parts():
-                    digest.update(repr(part).encode("utf-8"))
-                    digest.update(b"\x1f")
+            groups.extend(app.fingerprint_parts() for app in self.apps)
+        for part in chain.from_iterable(groups):
+            update_repr(digest, part)
+            digest.update(b"\x1f")
         return digest.hexdigest()
 
     @property

@@ -40,11 +40,14 @@ controller then advances ``k`` whole periods *analytically*:
   (``computed``, ``transfers_started``, ``preemptions``,
   ``buffers_decayed``, ``processed_count``) jump by ``k`` times their
   per-period delta;
-* recorded timelines are *replicated*, not lost: the completion times of
-  the template period re-appear shifted by ``j·Δt`` for each skipped
-  period ``j``, and the (period-stable) buffer high-water marks repeat, so
-  every downstream metric — window rates, onset detection, utilization —
-  is exact over the warped span.
+* recorded timelines keep the skipped span as *one period*: a
+  :class:`PeriodicTimeline` holds the records before the warp, the
+  template period, ``k`` and ``Δt``, and the tail the engine records after
+  the warp.  Its items are the template's completion times shifted by
+  ``j·Δt`` for each skipped period ``j`` (and the period-stable buffer
+  high-water marks repeated, ``Δ = 0``), computed on access, so every
+  downstream metric — window rates, onset detection, utilization — is
+  exact over the warped span while the result stays O(period) in memory.
 
 ``k`` is capped at ``(undispensed - 1) // Δtasks - 1`` so the repository
 never reaches zero inside the skipped span (the exhaustion boundary, and
@@ -62,9 +65,11 @@ to plain exact simulation and :class:`WarpSummary.applied` stays False.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify
-from itertools import repeat
+from itertools import chain, islice, repeat
+from operator import eq, index as _as_index
 from typing import Optional, Set, TYPE_CHECKING
 
 from .core import _sort_key
@@ -72,7 +77,8 @@ from .core import _sort_key
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
 
-__all__ = ["WarpSummary", "WarpController", "LEDGER_CAP", "FAR_HORIZON",
+__all__ = ["WarpSummary", "WarpController", "PeriodicTimeline",
+           "LEDGER_CAP", "FAR_HORIZON",
            "COST_ALLOWANCE",
            "REASON_CONTENTION", "REASON_DYNAMIC", "REASON_TRACING",
            "REASON_TELEMETRY", "REASON_MULTI_APP", "REASON_GRAPH_FAULTS",
@@ -118,9 +124,6 @@ LEDGER_CAP = 8192
 #: of its 4-task one.
 COST_ALLOWANCE = 16_384
 
-#: Periods of completion times the warp replays per slice assignment.
-_REPLAY_CHUNK = 4096
-
 #: Pending timers with more than this much virtual time left are treated as
 #: *background* activities (e.g. the root's effectively-infinite first
 #: compute on the paper's figure trees): they cannot belong to the periodic
@@ -159,6 +162,88 @@ class WarpSummary:
     warp_time: int = 0
     #: Fingerprints taken before the search ended.
     fingerprints_taken: int = 0
+
+
+class PeriodicTimeline(Sequence):
+    """An immutable timeline whose middle is one period repeated ``k`` times.
+
+    Its items are ``head``, then ``template[s] + j·delta`` for the periods
+    ``j = 1 .. periods``, then ``tail``: the shape of a timeline recorded
+    by a warped run, stored in O(head + period + tail) memory.  It stands in
+    for the tuple the exact run records: ``len``, int and slice indexing (a
+    slice is a tuple), iteration, ``==`` / ``hash`` / ``repr`` equal to the
+    equal tuple's, and a pickle of its parts.  Items have the values and
+    types the exact run records: ``range`` values when ``delta`` and the
+    template are ints, ``t + j * delta`` otherwise.
+    """
+
+    __slots__ = ("head", "template", "periods", "delta", "tail", "_span",
+                 "_len", "_ints")
+
+    def __init__(self, head, template, periods: int, delta, tail=()):
+        if periods < 0:
+            raise ValueError(f"periods must be >= 0, got {periods}")
+        self.head = tuple(head)
+        self.template = tuple(template)
+        self.periods = periods
+        self.delta = delta
+        self.tail = tuple(tail)
+        self._span = periods * len(self.template)
+        self._len = len(self.head) + self._span + len(self.tail)
+        self._ints = type(delta) is int and all(
+            type(t) is int for t in self.template)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain(self.head, self._replay(), self.tail)
+
+    def _replay(self):
+        """The repeated periods' items, in order."""
+        k, delta = self.periods, self.delta
+        if self._ints:
+            # One C-level column per template slot, zipped period by period.
+            columns = [range(t + delta, t + (k + 1) * delta, delta) if delta
+                       else repeat(t, k) for t in self.template]
+            return chain.from_iterable(zip(*columns))
+        return (t + j * delta for j in range(1, k + 1) for t in self.template)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._len)
+            if step > 0:
+                return tuple(islice(self, start, stop, step))
+            return tuple(self[i] for i in range(start, stop, step))
+        i = _as_index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("PeriodicTimeline index out of range")
+        head = self.head
+        if i < len(head):
+            return head[i]
+        i -= len(head)
+        if i >= self._span:
+            return self.tail[i - self._span]
+        j, slot = divmod(i, len(self.template))
+        return self.template[slot] + (j + 1) * self.delta
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, PeriodicTimeline)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return (PeriodicTimeline,
+                (self.head, self.template, self.periods, self.delta,
+                 self.tail))
 
 
 class _Record:
@@ -469,36 +554,17 @@ class WarpController:
         shift = k * dt
         skipped = k * dtasks
 
-        # Replicate the timelines: steady-state periods are identical by
-        # construction, so per-completion records repeat instead of being
-        # lost.  (High-water marks are period-stable — a changed mark would
-        # have changed the fingerprint — so they repeat as constants.)
+        # Keep the timelines as one period: steady-state periods are
+        # identical by construction, so each recorded timeline's skipped
+        # span is its last period repeated k times, completion times
+        # shifted by Δt a period.  (High-water marks are period-stable — a
+        # changed mark would have changed the fingerprint — so they repeat
+        # with Δ = 0.)  The engine records the tail after them.
         if engine.record_completion_times:
-            times = engine.completion_times
-            template = times[prev.completed:]
-            if type(dt) is int and all(type(t) is int for t in template):
-                # In place: grow the list once, then fill each template
-                # slot's copies by extended-slice assignment, at most
-                # _REPLAY_CHUNK periods at a time (the assignment turns
-                # its range into a temporary list of that length).
-                first = len(times)
-                step = len(template)
-                times.extend(repeat(0, k * step))
-                for lo in range(0, k, _REPLAY_CHUNK):
-                    hi = min(lo + _REPLAY_CHUNK, k)
-                    end = first + hi * step
-                    for slot, t in enumerate(template, first + lo * step):
-                        times[slot:end:step] = range(
-                            t + (lo + 1) * dt, t + (hi + 1) * dt, dt)
-            else:
-                for j in range(1, k + 1):
-                    offset = j * dt
-                    times.extend(t + offset for t in template)
+            engine.replay_timeline("completion_times", prev.completed, k, dt)
         if engine.record_buffer_timeline:
-            engine.buffer_timeline.extend(
-                repeat(engine.buffer_high_water, skipped))
-            engine.held_timeline.extend(
-                repeat(engine.held_high_water, skipped))
+            engine.replay_timeline("buffer_timeline", prev.completed, k, 0)
+            engine.replay_timeline("held_timeline", prev.completed, k, 0)
         engine.last_completion_time = now + shift
 
         # Monotone counters jump by k times their per-period delta.

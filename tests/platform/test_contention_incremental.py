@@ -27,6 +27,11 @@ F = Fraction
 DIAMOND_CAPS = {0: F(3), 1: F(2), 2: F(5), 3: F(1), 4: F(4)}
 DIAMOND_ROUTES = [(0,), (0, 1), (2, 3), (2,), (0, 4), (2, 4), (4,), (1, 4, 3)]
 
+#: The diamond's capacities as plain ints (what a caller passes without
+#: wrapping them in Fractions): the reference solver must split them
+#: exactly, as the incremental kernel does, not into floats.
+PLAIN_INT_CAPS = {link: int(cap) for link, cap in DIAMOND_CAPS.items()}
+
 #: Coprime denominators (the leaf-spine regime): the common-denominator
 #: LCM stays small per region but the caps are non-integral, so the
 #: integer-scaled path must engage and reconstruct exact Fractions.
@@ -114,6 +119,13 @@ def _assert_updates_equal(got, expected):
 def test_churn_integer_caps(mode, seed):
     """Integer capacities: the pure machine-int regime."""
     _churn(mode, DIAMOND_CAPS, seed)
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "fairshare", "selfish"])
+@pytest.mark.parametrize("seed", range(8))
+def test_churn_plain_int_caps(mode, seed):
+    """Plain int capacities: both solvers give the same exact rates."""
+    _churn(mode, PLAIN_INT_CAPS, seed)
 
 
 @pytest.mark.parametrize("mode", ["maxmin", "fairshare", "selfish"])

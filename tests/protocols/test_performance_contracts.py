@@ -9,6 +9,7 @@ import pytest
 
 from repro import simulate
 from repro.platform import PlatformTree, generate_tree
+from repro.platform.generator import TreeGeneratorParams
 from repro.platform.faults import (EdgeFailureEvent, EdgeRepairEvent,
                                    chaos_schedule)
 from repro.platform.graph import generate_platform
@@ -57,6 +58,28 @@ class TestMemoryShape:
         assert len(result.completion_times) == 50
         assert len(result.per_node_computed) == 3
         assert result.buffer_high_water_at_completion == ()
+
+    def test_warped_timelines_store_one_period(self):
+        """A warped run keeps each timeline as the records before the warp,
+        one template period and the tail: the values it stores do not grow
+        with the periods it skipped."""
+        tree = generate_tree(TreeGeneratorParams(
+            min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
+            comp_divisor=16), seed=1)
+        result = simulate(tree, 50_000,
+                          ProtocolConfig.interruptible(3, warp=True),
+                          record_buffer_timeline=True)
+        warp = result.warp
+        assert warp.applied and warp.periods > 1000
+        for timeline in (result.completion_times,
+                         result.buffer_high_water_at_completion,
+                         result.held_high_water_at_completion):
+            assert len(timeline) == 50_000
+            stored = (len(timeline.head) + len(timeline.template)
+                      + len(timeline.tail))
+            assert stored <= (warp.warp_completed + warp.period_tasks
+                              + len(timeline.tail))
+            assert stored < 1000
 
     def test_ic_shelf_bounded_by_children(self):
         from repro.protocols import ProtocolEngine

@@ -201,10 +201,9 @@ class TestSearchCost:
                     199995, 5, 14, 2199945)
 
     def test_replayed_timeline_matches_exact(self):
-        # The in-place replay fills each template slot's copies by slice
-        # assignments of up to 4096 periods; over ~10k periods (two full
-        # chunks and a partial one) every replicated time must land where
-        # the exact run put it.
+        # The warped result computes the skipped periods' times from one
+        # template period instead of storing them; over ~10k periods every
+        # replayed time must equal, index by index, the exact run's.
         tree = generate_tree(TreeGeneratorParams(
             min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
             comp_divisor=16), seed=1)
