@@ -1,8 +1,10 @@
 """Ablation benchmark — abrupt failures and autonomous recovery.
 
-Random trees suffer mid-run crashes (whole first-level subtrees die,
-losing buffered and in-flight tasks) at increasing crash rates; the
-IC/FB=3 protocol must reclaim every lost task instance, finish the full
+Random trees suffer mid-run crashes of first-level nodes at increasing
+crash rates.  A crash kills one node, losing what it buffered, computed
+and had in flight; its subtree is cut off and finishes only what it
+holds (one crash model on every path, see DESIGN.md).  The IC/FB=3
+protocol must reclaim every lost task instance, finish the full
 application, and converge to the *surviving* platform's optimal rate.
 """
 
@@ -29,7 +31,8 @@ def test_bench_fault_recovery(benchmark, bench_scale, report):
 
 
 def _crash_rate_sweep(scale: ExperimentScale, crash_counts):
-    """For each crash count, kill that many first-level subtrees mid-run."""
+    """For each crash count, crash that many first-level nodes mid-run,
+    cutting their subtrees off."""
     config = ProtocolConfig.interruptible(3)
     rows = []
     for crashes in crash_counts:
@@ -62,7 +65,7 @@ def test_bench_crash_rate_sweep(benchmark, bench_scale, report):
         lambda: _crash_rate_sweep(scale, crash_counts),
         rounds=1, iterations=1)
     report(format_table(
-        ["crashed subtrees", "all completed", "tasks re-executed",
+        ["crashed root children", "all completed", "tasks re-executed",
          "rate vs surviving optimal"],
         [[crashes, conserved, reexec, f"{eff:.3f}"]
          for crashes, conserved, reexec, eff in rows],

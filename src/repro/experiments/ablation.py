@@ -458,8 +458,9 @@ def fault_recovery(scale: ExperimentScale = ExperimentScale(),
                    *, progress=None, workers: int = 1,
                    harness: Optional[HarnessConfig] = None
                    ) -> FaultRecoveryResult:
-    """Crash one root subtree mid-run (plus a transient link outage on a
-    second, when the tree has one) and measure the recovery protocol."""
+    """Crash one root child mid-run, cutting its subtree off (plus a
+    transient link outage on a second, when the tree has one) and
+    measure the recovery protocol."""
     worker = partial(_fault_seed, params=params, tasks=scale.tasks)
     seeds = [scale.base_seed + i for i in range(scale.trees)]
     efficiencies: List[float] = []
@@ -492,7 +493,7 @@ def fault_recovery(scale: ExperimentScale = ExperimentScale(),
 def format_fault_result(result: FaultRecoveryResult) -> str:
     return (
         f"Ablation — fault recovery (IC/FB=3, {result.scale.trees} trees, "
-        f"{result.scale.tasks} tasks; mid-run subtree crash + link outage)\n"
+        f"{result.scale.tasks} tasks; mid-run root-child crash + link outage)\n"
         f"{'=' * 60}\n"
         f"all tasks completed despite failures      : "
         f"{result.all_completed}\n"

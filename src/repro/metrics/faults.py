@@ -90,7 +90,8 @@ class RecoveryReport:
     transfers_wasted: int
     num_crashed_nodes: int
     recovery_latencies: Tuple[int, ...]
-    #: Optimal steady-state rate of the platform minus crashed subtrees.
+    #: Optimal steady-state rate of the platform minus each crashed node's
+    #: (cut-off) subtree.
     surviving_optimal_rate: Fraction
     #: Achieved rate after the last recovery (None if too little data).
     post_recovery_rate: Optional[Fraction]

@@ -14,9 +14,10 @@ demoted and re-admitted as links fail and heal.
 Tree-addressed events (the PR 1 model — a fault is "a node" or "a node's
 parent link"):
 
-* :class:`CrashEvent` — at a virtual time, the subtree rooted at ``node``
-  dies abruptly: every buffered task, every task on a CPU, and every
-  transfer in flight inside (or into) the subtree is lost;
+* :class:`CrashEvent` — at a virtual time, ``node`` dies abruptly with
+  all its links: its buffered tasks, the task on its CPU, and every
+  transfer in flight into or out of it are lost.  Its children survive,
+  cut off: they finish what they hold (see "one crash model" below);
 * :class:`LinkFailureEvent` — at a virtual time, the edge from ``node``'s
   parent goes down: the transfer it carries (if any) is lost, and the
   subtree below keeps computing what it holds but can receive no new work;
@@ -40,12 +41,17 @@ every flow crossing it):
   link still carries traffic); only the flows crossing it re-settle.
 
 On a graph run, tree-addressed events remain a validated special case:
-``CrashEvent(node)`` kills the single *host* ``node`` (its overlay
-children survive, re-parent, and re-route — unlike the tree engine, which
-has no routes to fall back on and loses the whole subtree), and
+``CrashEvent(node)`` kills the single *host* ``node``, and
 ``LinkFailureEvent``/``LinkRepairEvent`` target the one physical link of
 the overlay route into ``node`` (an error when that route is multi-hop —
 address the fabric link directly with :class:`EdgeFailureEvent`).
+
+One crash model holds on trees and graphs alike: a crash kills one host,
+its children re-parent to its parent and, with no route left (always,
+on a tree), park as a cut-off partition.  The links to those children
+die with the host, so :meth:`FaultSchedule.validate` and
+:meth:`FaultSchedule.validate_graph` both reject link events on them
+after the crash, as well as a second crash of the same node.
 """
 
 from __future__ import annotations
@@ -73,8 +79,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrashEvent:
-    """The subtree rooted at ``node`` (tree runs) — or the single host
-    ``node`` (graph runs) — dies abruptly at ``at_time``."""
+    """Node (host) ``node`` dies abruptly at ``at_time``, with all its
+    links; its children are cut off but survive."""
 
     at_time: int
     node: int
@@ -266,32 +272,39 @@ class FaultSchedule:
                 raise PlatformError(
                     "the repository root cannot crash or lose its (nonexistent) "
                     "parent link")
-            if isinstance(event, LinkFailureEvent):
+            if isinstance(event, CrashEvent):
                 if event.node in crashed:
                     raise PlatformError(
-                        f"link to node {event.node} fails at "
-                        f"t={event.at_time}, after the node's crash — "
-                        "post-crash link events would fire against a dead "
-                        "subtree")
+                        f"node {event.node} crashes at t={event.at_time}, "
+                        "but it has already crashed")
+                crashed.add(event.node)
+                continue
+            failing = isinstance(event, LinkFailureEvent)
+            if event.node in crashed:
+                raise PlatformError(
+                    f"link to node {event.node} "
+                    f"{'fails' if failing else 'repaired'} at "
+                    f"t={event.at_time}, after the node's crash — "
+                    "post-crash link events would fire against a dead node")
+            # A crash takes all its host's links with it, the ones to its
+            # children included; those never repair.
+            if 0 <= event.node < tree.num_nodes \
+                    and tree.parent[event.node] in crashed:
+                raise PlatformError(
+                    f"link to node {event.node} died with its parent's "
+                    f"crash before t={event.at_time} and never repairs")
+            if failing:
                 if event.node in down:
                     raise PlatformError(
                         f"link to node {event.node} fails at t={event.at_time} "
                         "while already down")
                 down.add(event.node)
-            elif isinstance(event, LinkRepairEvent):
-                if event.node in crashed:
-                    raise PlatformError(
-                        f"link to node {event.node} repaired at "
-                        f"t={event.at_time}, after the node's crash — "
-                        "post-crash link events would fire against a dead "
-                        "subtree")
+            else:
                 if event.node not in down:
                     raise PlatformError(
                         f"link to node {event.node} repaired at "
                         f"t={event.at_time} but was never down")
                 down.discard(event.node)
-            elif isinstance(event, CrashEvent):
-                crashed.add(event.node)
 
     def validate_graph(self, graph, overlay=None) -> None:
         """Static checks against a :class:`~repro.platform.graph.
@@ -468,7 +481,7 @@ def chaos_schedule(platform, *, seed: int, events: int = 6,
                 out.append(LinkFailureEvent(at_time=t, node=node))
                 out.append(LinkRepairEvent(at_time=repair_at, node=node))
                 budget -= 1
-        schedule = FaultSchedule(_drop_post_crash(out))
+        schedule = FaultSchedule(_drop_post_crash(out, platform))
         schedule.validate(platform)
         return schedule
 
@@ -556,18 +569,23 @@ def chaos_schedule(platform, *, seed: int, events: int = 6,
     return schedule
 
 
-def _drop_post_crash(events: List[FaultEvent]) -> List[FaultEvent]:
-    """Drop tree link events landing at/after a crash of their node, and
-    re-balance fail/repair alternation afterwards."""
+def _drop_post_crash(events: List[FaultEvent],
+                     tree: PlatformTree) -> List[FaultEvent]:
+    """Drop tree link events landing at/after a crash of their node or of
+    its parent (the crash takes the link with it), and re-balance
+    fail/repair alternation afterwards."""
     crash_at: Dict[int, int] = {}
     for event in events:
         if isinstance(event, CrashEvent):
             prev = crash_at.get(event.node)
             if prev is None or event.at_time < prev:
                 crash_at[event.node] = event.at_time
-    kept = [e for e in events
-            if isinstance(e, CrashEvent)
-            or e.node not in crash_at or e.at_time < crash_at[e.node]]
+
+    def _alive_link(event: FaultEvent) -> bool:
+        return all(node not in crash_at or event.at_time < crash_at[node]
+                   for node in (event.node, tree.parent[event.node]))
+
+    kept = [e for e in events if isinstance(e, CrashEvent) or _alive_link(e)]
     return _rebalance_pairs(kept)
 
 

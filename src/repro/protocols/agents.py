@@ -560,8 +560,9 @@ class NodeAgent:
 
     def _crash(self) -> int:
         """Die abruptly.  Returns the number of task instances destroyed
-        *locally* (buffered, on the CPU, or on the outgoing port/shelf);
-        the engine pools them for eventual reclaim by the root."""
+        *locally* (buffered or on the CPU); the engine pools them for
+        eventual reclaim by the root.  The engine has already booked the
+        port's flow and the shelf (:meth:`ProtocolEngine._crash_node`)."""
         self.alive = False
         self.growth = False
         self.decay = False
@@ -573,17 +574,6 @@ class NodeAgent:
         if self.cpu_busy:
             self.cpu_busy = False
             lost += 1
-        transfer = self.current_transfer
-        if transfer is not None:
-            if transfer.timer is not None:
-                transfer.timer.cancel()
-            self.current_transfer = None
-            lost += 1
-            self.engine.transfers_wasted += 1
-        if self.shelf:
-            lost += len(self.shelf)
-            self.engine.transfers_wasted += len(self.shelf)
-            self.shelf.clear()
         if self.sweep_timer is not None:
             self.sweep_timer.cancel()
             self.sweep_timer = None

@@ -313,113 +313,163 @@ class ProtocolEngine:
                 self.nodes[node_id].depart()
 
     # --------------------------------------------------------------- faults
+    # One crash model on every path (DESIGN.md): a crash kills one host
+    # and its links; its children re-parent and, with no route left (on a
+    # tree, always), park and finish what they hold.  The routed
+    # GraphFaultDriver books faults through the same lane methods; the
+    # tree handlers below only supply a tree's physical facts.
     def _fault_agent(self, event) -> NodeAgent:
         if not 0 <= event.node < len(self.nodes):
             raise ProtocolError(
                 f"fault at t={event.at_time} targets unknown node {event.node}")
         return self.nodes[event.node]
 
-    def _apply_crash(self, event: CrashEvent) -> None:
-        victim = self._fault_agent(event)
-        if not victim.alive:
-            return  # already dead (nested crash schedules)
+    def _kill_flow(self, transfer, dying: Optional[int] = None) -> None:
+        """Book one flow killed on the wire; ``dying`` is the id of the
+        host crashing, if any.  The task pools as a pending loss under
+        the node whose unreachability the survivors will detect: the
+        dying host for a flow into or out of it, else the receiver, whose
+        parent suspects it."""
+        child = transfer.child
+        sender = child.parent
+        if transfer.timer is not None:
+            transfer.timer.cancel()
+            transfer.timer = None
+        # Active flows always sit on their sender's port (a child is
+        # re-parented only after its old parent's flows were killed).
+        sender.current_transfer = None
+        self.transfers_wasted += 1
+        pooled = sender.id if sender.id == dying else child.id
+        self._pending_lost[pooled] = self._pending_lost.get(pooled, 0) + 1
+        if child.id != dying:
+            # The receiver re-requests; after an outage the request stays
+            # deferred until its parent re-admits it.
+            child.incoming -= 1
+            child.requested += 1
+            if sender.id != dying:
+                child.deferred_requests += 1
+                sender._mark_suspect(child)
+
+    def _crash_node(self, victim: NodeAgent,
+                    adopters: Dict[int, int]) -> None:
+        """Kill the single host ``victim`` (its crossing flows already
+        booked by :meth:`_kill_flow`) and hand each child to the new
+        parent ``adopters`` names by id."""
         parent = victim.parent
         pending = 0
-        # A surviving parent's transfer into the dying subtree dies with
-        # it; the failed send is the parent's local failure observation.
         if parent is not None and parent.alive:
-            transfer = parent.current_transfer
-            killed = 0
-            if transfer is not None and transfer.child is victim:
-                if transfer.timer is not None:
-                    transfer.timer.cancel()
-                parent.current_transfer = None
-                killed += 1
             if parent.shelf.pop(victim.id, None) is not None:
-                killed += 1
-            if killed:
-                pending += killed
-                self.transfers_wasted += killed
+                # The parent's half-sent task dies with the victim.
+                pending += 1
+                self.transfers_wasted += 1
+            if victim in parent.children:
                 parent._mark_suspect(victim)
-                parent.try_send()
-        # The whole subtree dies; any losses previously pooled under a
-        # descendant lose their detector and fold into this crash's pool.
-        stack = [victim]
-        while stack:
-            agent = stack.pop()
-            stack.extend(agent.children)
-            if not agent.alive:
-                continue
-            pending += agent._crash()
-            pending += self._pending_lost.pop(agent.id, 0)
-            self.crashed_node_ids.append(agent.id)
-            if self._recorder is not None:
-                self._recorder.record(self.env.now, _trace.CRASH, agent.id)
-        if parent is not None:
-            parent._arm_sweep()
-        self.crash_times.append(self.env.now)
-        self._pending_lost[victim.id] = (
-            self._pending_lost.get(victim.id, 0) + pending)
-        if parent is None or not parent.alive or victim not in parent.children:
-            # Nobody is left to detect this death (the subtree was already
-            # partitioned or detached): the loss surfaces immediately.
-            self._flush_pending_losses(victim)
-        if self.check_invariants:
-            self._check_conservation()
-
-    def _apply_link_failure(self, event: LinkFailureEvent) -> None:
-        agent = self._fault_agent(event)
-        if not agent.alive:
-            return
-        agent.link_down = True
-        if self._recorder is not None:
-            self._recorder.record(self.env.now, _trace.LINK_DOWN, agent.id)
-        parent = agent.parent
-        if parent is None or not parent.alive:
-            return
-        transfer = parent.current_transfer
-        if transfer is not None and transfer.child is agent:
-            # The in-flight task dies on the wire.  (A *shelved* transfer
-            # is parked at the parent and survives the outage.)
-            if transfer.timer is not None:
-                transfer.timer.cancel()
-            parent.current_transfer = None
+        # The victim's own shelved half-sends: their receivers survive and
+        # re-request (announced: the request moves to the new parent).
+        for cid in sorted(victim.shelf):
+            child = victim.shelf[cid].child
+            pending += 1
             self.transfers_wasted += 1
-            # The child's buffer re-requests; the request stays deferred
-            # until the link heals and the parent re-admits the child.
-            agent.incoming -= 1
-            agent.requested += 1
-            agent.deferred_requests += 1
-            self._pending_lost[agent.id] = (
-                self._pending_lost.get(agent.id, 0) + 1)
-            parent._mark_suspect(agent)
-            parent.try_send()
-        parent._arm_sweep()
-        if self.check_invariants:
-            self._check_conservation()
+            child.incoming -= 1
+            child.requested += 1
+        victim.shelf.clear()
+        pending += victim._crash() + self._pending_lost.pop(victim.id, 0)
+        self._pending_lost[victim.id] = pending
+        self.crashed_node_ids.append(victim.id)
+        self.crash_times.append(self.env.now)
+        if self._recorder is not None:
+            self._recorder.record(self.env.now, _trace.CRASH, victim.id)
+        gained: List[NodeAgent] = []
+        for orphan in sorted(victim.children, key=lambda a: a.id):
+            new_parent = self.nodes[adopters[orphan.id]]
+            orphan.parent = new_parent
+            new_parent.children.append(orphan)
+            new_parent.child_requests += (orphan.requested
+                                          - orphan.deferred_requests)
+            if new_parent not in gained:
+                gained.append(new_parent)
+        victim.children = []
+        for new_parent in gained:
+            new_parent.resort_children()
+        if parent is None or not parent.alive or victim not in parent.children:
+            # Detached before death (e.g. declared dead while parked):
+            # nobody probes it, so the loss surfaces now.
+            self._flush_pending_losses(victim)
 
-    def _apply_link_repair(self, event: LinkRepairEvent) -> None:
-        agent = self._fault_agent(event)
+    def _park(self, agent: NodeAgent) -> None:
+        """``agent`` lost its route to its parent."""
+        if not agent.link_down:
+            agent.link_down = True
+            if self._recorder is not None:
+                self._recorder.record(self.env.now, _trace.LINK_DOWN,
+                                      agent.id)
+
+    def _unpark(self, agent: NodeAgent) -> None:
+        """``agent``'s route to its parent is back: the parent re-admits
+        it or hears the requests deferred meanwhile, and the losses
+        pooled under it surface."""
         agent.link_down = False
         if self._recorder is not None:
             self._recorder.record(self.env.now, _trace.LINK_UP, agent.id)
         parent = agent.parent
         if agent.alive and parent is not None and parent.alive:
             if agent.id in parent.suspect or agent not in parent.children:
-                parent._readmit_child(agent)  # flushes the pending pool
-                return
-            if agent.deferred_requests:
-                # Healed before the parent ever noticed: announce the
-                # requests deferred during the outage.
+                parent._readmit_child(agent)
+            elif agent.deferred_requests:
                 parent.child_requests += agent.deferred_requests
                 agent.deferred_requests = 0
-                if parent.current_transfer is None:
-                    parent.try_send()
-                elif parent.interruptible:
-                    parent._maybe_preempt()
         self._flush_pending_losses(agent)
+
+    def _kick_ports(self) -> None:
+        """Every alive agent, in id order, reconsiders its port."""
+        for agent in self.nodes:
+            if not agent.alive:
+                continue
+            if agent.current_transfer is None:
+                agent.try_send()
+            elif agent.interruptible:
+                agent._maybe_preempt()
+
+    def _arm_sweeps(self) -> None:
+        for agent in self.nodes:
+            agent._arm_sweep()
+
+    def _settle_fault(self) -> None:
+        """Close a tree fault as ``GraphFaultDriver`` closes one: kick
+        every port, arm the sweeps a fault needs, then check."""
+        self._kick_ports()
+        self._arm_sweeps()
         if self.check_invariants:
             self._check_conservation()
+
+    def _apply_crash(self, event: CrashEvent) -> None:
+        victim = self._fault_agent(event)
+        parent = victim.parent
+        # The victim's links die: its parent edge and its children's.
+        inbound = parent.current_transfer
+        if inbound is not None and inbound.child is victim:
+            self._kill_flow(inbound, victim.id)
+        if victim.current_transfer is not None:
+            self._kill_flow(victim.current_transfer, victim.id)
+        orphans = sorted(victim.children, key=lambda a: a.id)
+        self._crash_node(victim, {orphan.id: parent.id for orphan in orphans})
+        for orphan in orphans:
+            self._park(orphan)  # a tree has no second route
+        self._settle_fault()
+
+    def _apply_link_failure(self, event: LinkFailureEvent) -> None:
+        agent = self._fault_agent(event)
+        self._park(agent)
+        transfer = agent.parent.current_transfer
+        if transfer is not None and transfer.child is agent:
+            # The in-flight task dies on the wire.  (A *shelved* transfer
+            # is parked at the parent and survives the outage.)
+            self._kill_flow(transfer)
+        self._settle_fault()
+
+    def _apply_link_repair(self, event: LinkRepairEvent) -> None:
+        self._unpark(self._fault_agent(event))
+        self._settle_fault()
 
     def _flush_pending_losses(self, agent: NodeAgent, extra: int = 0) -> None:
         """Reclaim task instances destroyed around ``agent`` into the

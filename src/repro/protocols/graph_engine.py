@@ -37,7 +37,7 @@ steady-state warp stands down.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..platform.contention import LinkContention, _exact
 from ..platform.faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
@@ -149,17 +149,18 @@ class GraphFaultDriver:
     application — through the same deterministic recovery sequence:
 
     1. mutate the graph (link up/down, node crash, degrade factor);
-    2. kill exactly the flows crossing a failed link and book each loss
-       (the task instance pools under the node whose unreachability the
-       survivors will detect; the receiving agent re-requests);
-    3. host crash only: destroy the victim agent in every lane, then
+    2. kill exactly the flows crossing a failed link and have each lane
+       book its losses (:meth:`~repro.protocols.engine.ProtocolEngine.
+       _kill_flow`);
+    3. host crash only: destroy the victim agent in every lane and
        re-parent its orphaned overlay children
-       (:func:`~repro.protocols.topologies.reassign_orphans` — rack-head
-       re-election on leaf-spine fabrics);
+       (:meth:`~repro.protocols.engine.ProtocolEngine._crash_node`, with
+       :func:`~repro.protocols.topologies.reassign_orphans` — rack-head
+       re-election on leaf-spine fabrics — choosing the new parents);
     4. refresh every overlay route in two phases — first recompute all
-       routes/costs and park newly unreachable hosts, then readmit or
-       re-announce healed ones — so no transfer ever starts on a stale
-       route;
+       routes/costs and park newly unreachable hosts, then unpark healed
+       ones (:meth:`~repro.protocols.engine.ProtocolEngine._unpark`) — so
+       no transfer ever starts on a stale route;
     5. kick every alive agent in deterministic (lane, id) order so the
        protocol reacts autonomously (suspect/probe/backoff against the
        next hop, pending-loss reclamation into the repository);
@@ -168,7 +169,8 @@ class GraphFaultDriver:
     Recovery itself is the *unmodified* autonomous protocol: the driver
     only injects the physical facts; detection (suspicion, probing with
     exponential backoff, declaring death, re-admission) happens in the
-    agents, exactly as on trees.
+    agents, exactly as on trees.  The tree engine's fault handlers call
+    the same lane methods, so both paths share one crash model.
     """
 
     def __init__(self, graph: PlatformGraph, overlay: Overlay,
@@ -248,67 +250,25 @@ class GraphFaultDriver:
         self._resettle(event.link)
 
     def _on_host_crash(self, host: int) -> None:
-        now = self.env.now
         oid = self._oid[host]
         victims = [lane.nodes[oid] for lane in self.lanes
                    if lane.nodes[oid].alive]
         downed = self.graph.crash_node(host)
-        self._kill_crossing(downed, dying=set(victims))
+        self._kill_crossing(downed, dying=oid)
+        hosts = self.overlay.hosts
         for victim in victims:
-            lane = victim.engine
+            # The victim's overlay children re-parent (leaf-spine racks
+            # re-elect a head); the route refresh parks any left without
+            # a route.
             parent = victim.parent
-            pending = 0
-            if parent is not None and parent.alive:
-                if parent.shelf.pop(victim.id, None) is not None:
-                    # The parent's half-sent task dies with the victim.
-                    pending += 1
-                    lane.transfers_wasted += 1
-                if victim in parent.children:
-                    parent._mark_suspect(victim)
-            # The victim's own shelved half-sends: their receivers
-            # survive and re-request (announced — the request transfers
-            # to the new parent at re-parenting below).
-            for cid in sorted(victim.shelf):
-                child = victim.shelf[cid].child
-                pending += 1
-                lane.transfers_wasted += 1
-                child.incoming -= 1
-                child.requested += 1
-            victim.shelf.clear()
-            pending += victim._crash()
-            pending += lane._pending_lost.pop(victim.id, 0)
-            lane.crashed_node_ids.append(victim.id)
-            lane.crash_times.append(now)
-            if lane._recorder is not None:
-                lane._recorder.record(now, _trace.CRASH, victim.id)
-            lane._pending_lost[victim.id] = pending
-            # Unlike a tree crash, the victim's overlay children survive:
-            # re-parent them (leaf-spine racks re-elect a head).
-            orphans = sorted(victim.children, key=lambda a: a.id)
-            victim.children = []
-            if orphans:
-                hosts = self.overlay.hosts
-                grandparent = (hosts[parent.id] if parent is not None
-                               else self.graph.root)
-                mapping = reassign_orphans(
-                    self.graph, host, [hosts[o.id] for o in orphans],
-                    grandparent)
-                gained: List[NodeAgent] = []
-                for orphan in orphans:
-                    new_parent = lane.nodes[self._oid[mapping[hosts[orphan.id]]]]
-                    orphan.parent = new_parent
-                    new_parent.children.append(orphan)
-                    new_parent.child_requests += (orphan.requested
-                                                  - orphan.deferred_requests)
-                    if new_parent not in gained:
-                        gained.append(new_parent)
-                for new_parent in gained:
-                    new_parent.resort_children()
-            if parent is None or not parent.alive \
-                    or victim not in parent.children:
-                # Detached before death (e.g. declared dead while
-                # parked): nobody probes it, surface the loss now.
-                lane._flush_pending_losses(victim)
+            grandparent = (hosts[parent.id] if parent is not None
+                           else self.graph.root)
+            mapping = reassign_orphans(
+                self.graph, host, [hosts[o.id] for o in victim.children],
+                grandparent)
+            victim.engine._crash_node(victim, {
+                self._oid[orphan]: self._oid[adopter]
+                for orphan, adopter in mapping.items()})
         self._refresh_routes()
         self._kick()
         self._check()
@@ -318,50 +278,14 @@ class GraphFaultDriver:
         if updates:
             self.lanes[0]._apply_rate_updates(updates)
 
-    def _kill_crossing(self, links, dying: Set[NodeAgent] = frozenset()):
-        """Kill every flow crossing ``links`` and book each lost task.
-
-        A killed flow's task instance pools as a pending loss under the
-        node whose unreachability the surviving agents will detect: the
-        receiving child for an ordinary outage (its parent suspects it —
-        the next-hop suspicion of the tree protocol), or the dying host
-        for a crash (its parent's probes detect the death).
-        """
-        now = self.env.now
-        killed, updates = self.contention.kill_crossing(links, now)
+    def _kill_crossing(self, links, dying: Optional[int] = None) -> None:
+        """Kill every flow crossing ``links`` and have its lane book the
+        lost task (:meth:`~repro.protocols.engine.ProtocolEngine.
+        _kill_flow`; ``dying`` is the overlay id of a crashing host)."""
+        killed, updates = self.contention.kill_crossing(links, self.env.now)
         for transfer in killed:
-            child = transfer.child
-            sender = child.parent
-            lane = child.engine
-            if transfer.timer is not None:
-                transfer.timer.cancel()
-                transfer.timer = None
-            # Active flows always sit on their sender's port (a child is
-            # re-parented only after its old parent's flows were killed).
-            sender.current_transfer = None
-            lane.transfers_wasted += 1
-            if child in dying:
-                # Flow *into* a crashing host: the instance dies with it.
-                lane._pending_lost[child.id] = (
-                    lane._pending_lost.get(child.id, 0) + 1)
-            elif sender in dying:
-                # Flow *out of* a crashing host: pooled under the victim;
-                # the receiver re-requests, announced (it re-parents).
-                lane._pending_lost[sender.id] = (
-                    lane._pending_lost.get(sender.id, 0) + 1)
-                child.incoming -= 1
-                child.requested += 1
-            else:
-                # Ordinary routed outage: the receiver re-requests but the
-                # request stays deferred until readmission re-counts it.
-                child.incoming -= 1
-                child.requested += 1
-                child.deferred_requests += 1
-                lane._pending_lost[child.id] = (
-                    lane._pending_lost.get(child.id, 0) + 1)
-                sender._mark_suspect(child)
+            transfer.child.engine._kill_flow(transfer, dying)
         self._apply_updates(updates)
-        return killed
 
     def _refresh_routes(self, peer: Optional[int] = None) -> None:
         """Two-phase overlay route refresh against the mutated graph.
@@ -387,11 +311,7 @@ class GraphFaultDriver:
                     continue
                 route = graph.route_or_none(hosts[parent.id], hosts[agent.id])
                 if route is None:
-                    if not agent.link_down:
-                        agent.link_down = True
-                        if lane._recorder is not None:
-                            lane._recorder.record(now, _trace.LINK_DOWN,
-                                                  agent.id)
+                    lane._park(agent)
                     continue
                 if agent.link_down:
                     unparked.append(agent)
@@ -409,18 +329,7 @@ class GraphFaultDriver:
         for parent in resort:
             parent.resort_children()
         for agent in unparked:
-            agent.link_down = False
-            lane = agent.engine
-            if lane._recorder is not None:
-                lane._recorder.record(now, _trace.LINK_UP, agent.id)
-            parent = agent.parent
-            if parent is not None and parent.alive:
-                if agent.id in parent.suspect or agent not in parent.children:
-                    parent._readmit_child(agent)
-                elif agent.deferred_requests:
-                    parent.child_requests += agent.deferred_requests
-                    agent.deferred_requests = 0
-            lane._flush_pending_losses(agent)
+            agent.engine._unpark(agent)
 
     def _resettle(self, link: int) -> None:
         """Re-settle flows after a capacity change (degrade/restore)."""
@@ -443,16 +352,9 @@ class GraphFaultDriver:
         the fault left with an unreachable child arms its liveness
         sweep."""
         for lane in self.lanes:
-            for agent in lane.nodes:
-                if not agent.alive:
-                    continue
-                if agent.current_transfer is None:
-                    agent.try_send()
-                elif agent.interruptible:
-                    agent._maybe_preempt()
+            lane._kick_ports()
         for lane in self.lanes:
-            for agent in lane.nodes:
-                agent._arm_sweep()
+            lane._arm_sweeps()
 
     def _check(self) -> None:
         if self.check_invariants:

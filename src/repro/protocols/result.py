@@ -90,8 +90,8 @@ class SimulationResult:
     #: Virtual time at which the repository handed out its last task
     #: (``None`` for empty runs); everything after it is wind-down.
     repository_exhausted_at: Optional[int] = None
-    #: Nodes destroyed by :class:`~repro.platform.faults.CrashEvent`\ s
-    #: (every member of each crashed subtree, in death order).
+    #: Nodes destroyed by :class:`~repro.platform.faults.CrashEvent`\ s,
+    #: one per crash, in death order.
     crashed_node_ids: Tuple[int, ...] = ()
     #: Task instances destroyed by faults and re-dispensed by the root.
     tasks_reexecuted: int = 0
@@ -236,9 +236,11 @@ class SimulationResult:
             [app.steady_rate for app in self.apps], self.cooperative_rate)
 
     def surviving_tree(self) -> PlatformTree:
-        """The platform with every crashed subtree pruned — what the
-        steady-state model (``solve_tree``) should be fed to predict the
-        post-recovery rate.  Node ids are relabelled by the pruning."""
+        """The platform with every crashed node's subtree pruned — what
+        the steady-state model (``solve_tree``) should be fed to predict
+        the post-recovery rate: a crash cuts its children off, and they
+        only finish what they hold.  Node ids are relabelled by the
+        pruning."""
         if not self.crashed_node_ids:
             return self.tree
         return self.tree.pruned_many(self.crashed_node_ids)

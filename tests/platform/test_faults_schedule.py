@@ -1,10 +1,12 @@
 """FaultSchedule and fault-event validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlatformError
 from repro.platform import (CrashEvent, FaultSchedule, LinkFailureEvent,
-                            LinkRepairEvent, figure1_tree)
+                            LinkRepairEvent, PlatformGraph, figure1_tree)
+from repro.platform.generator import TreeGeneratorParams, generate_tree
 
 
 class TestEvents:
@@ -72,6 +74,25 @@ class TestSchedule:
         ])
         schedule.validate(figure1_tree())  # must not raise
 
+    def test_double_crash_rejected(self):
+        schedule = FaultSchedule([
+            CrashEvent(at_time=10, node=2),
+            CrashEvent(at_time=20, node=2),
+        ])
+        with pytest.raises(PlatformError, match="already crashed"):
+            schedule.validate(figure1_tree())
+
+    def test_child_link_events_after_parent_crash_rejected(self):
+        # Node 2's crash takes its link to child 3 with it: that link
+        # never repairs, so an outage window on it is meaningless.
+        schedule = FaultSchedule([
+            CrashEvent(at_time=80, node=2),
+            LinkFailureEvent(at_time=100, node=3),
+            LinkRepairEvent(at_time=300, node=3),
+        ])
+        with pytest.raises(PlatformError, match="parent's crash"):
+            schedule.validate(figure1_tree())
+
     def test_out_of_range_node_allowed_statically(self):
         # Faults may target nodes created by later churn joins, so range
         # checks are deferred to fire time.
@@ -138,3 +159,33 @@ class TestSameTimeOrdering:
         ])
         assert isinstance(schedule.events[0], LinkFailureEvent)
         assert isinstance(schedule.events[1], CrashEvent)
+
+
+#: ``(kind, node pick, time)``: 0 crash, 1 link failure, 2 link repair.
+_EVENT_KINDS = (CrashEvent, LinkFailureEvent, LinkRepairEvent)
+node_events = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10_000),
+                                 st.integers(0, 60)), max_size=8)
+
+
+def _accepts(validate) -> bool:
+    try:
+        validate()
+    except PlatformError:
+        return False
+    return True
+
+
+@given(seed=st.integers(0, 10_000), events=node_events)
+@settings(max_examples=200, deadline=None)
+def test_tree_and_graph_validators_agree(seed, events):
+    """One validity rule: a node-addressed schedule is valid on a tree
+    exactly when it is valid on the tree embedded as a graph."""
+    tree = generate_tree(TreeGeneratorParams(min_nodes=2, max_nodes=12),
+                         seed=seed)
+    schedule = FaultSchedule(
+        _EVENT_KINDS[kind](at_time=at_time, node=pick % tree.num_nodes)
+        for kind, pick, at_time in events)
+    graph = PlatformGraph.from_tree(tree)
+    assert (_accepts(lambda: schedule.validate(tree))
+            == _accepts(lambda: schedule.validate_graph(graph,
+                                                        graph.overlay())))

@@ -2,13 +2,15 @@
 
 Each pin is ``replace(result, events_processed=0).fingerprint()``: every
 completion, reclaim and crash time, per-node tally and waste counter of
-the run, but not its calendar size.  The pins were taken while every
-parent still swept its children every ``request_timeout`` until the bag
-completed, so they show that scheduling a sweep only while a child is
-unreachable removes events that changed nothing.  Both fault paths are
-covered: the tree engine (paper trees, a crash plus a transient outage)
-and the routed graph driver (seeded chaos schedules, one and three
-applications).
+the run, but not its calendar size.  The chaos pins were taken while
+every parent still swept its children every ``request_timeout`` until
+the bag completed, so they show that scheduling a sweep only while a
+child is unreachable removes events that changed nothing.  Both fault
+paths are covered: the tree engine (paper trees, a crash plus a
+transient outage) and the routed graph driver (seeded chaos schedules,
+one and three applications).  The tree pins follow the one crash model
+(a crash kills one host; its children park), so they equal the same
+cells run through ``PlatformGraph.from_tree``.
 """
 
 from dataclasses import replace
@@ -31,11 +33,11 @@ IC3 = ProtocolConfig.interruptible(3)
 MAX_EVENTS_PER_TASK = 20
 
 TREE_PINS = {
-    0: "70342aa4521a5109afaeb69214c0cc79a1e826a4273581ddf57aaf30f5637bab",
-    1: "da30bf9ac09fccedd1eccc77f2df75066438bdf841b20b15a69cbd920ce74656",
-    2: "ee9fb48c50d6202c8978bfb48a2a9a206d401fc6799fd7038928b8a01577cff8",
-    3: "a4ff4bf61cf6f664a2a2ea4e134bc2fbe1b8419c587bacbe8649d1086bb739ce",
-    4: "b5a53b29972bb16600542616de536a734e3da0199555b91b05add0ff077ad818",
+    0: "d3fc3ca34d02012ed80714531b04690e54dff15723507e018f730125c18ca578",
+    1: "0a35b671740eb773d5a06ac0fcec1bfe8afffbd9ce299a185ba8ee92f90fbff3",
+    2: "a0a7f6f76f939c0928221c882c362625ecefa1b9d73932679e5c920d7bda96f7",
+    3: "7246425cf9aad533d245c7917d8940a90e61e5f7b1d066bc14f3312c32fb44c2",
+    4: "05d4baef07dd3a144bd48c5b7f456c82dd7e78bad08056e5e8937fc4eb334788",
 }
 
 CHAOS_PINS = {

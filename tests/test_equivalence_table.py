@@ -133,7 +133,7 @@ def _twin_runs():
         tree = generate_tree(seed=seed)
         graph = PlatformGraph.from_tree(tree)
         for preset, config in PRESETS.items():
-            for tasks in (200, 500, 1000):
+            for tasks in (200, 300, 500, 1000):
                 yield (f"tree=graph/seed{seed}/{tasks}/{preset}",
                        Run(tree, tasks, config), Run(graph, tasks, config))
             for tasks in (150, 200, 300, 500):
@@ -176,7 +176,7 @@ def test_twin_fingerprints_identical(name):
 
 def test_table_covers_every_pin():
     assert set(PINNED_RUNS) == set(PINNED)
-    assert len(TWIN_RUNS) == 27 + 37 + 18 + 3
+    assert len(TWIN_RUNS) == 36 + 37 + 18 + 3
 
 
 def _service_tree():
