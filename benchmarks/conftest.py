@@ -11,8 +11,15 @@ Set them to the paper's 25000/10000 to run the full-scale evaluation.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+try:
+    import repro  # noqa: F401 — probe only
+except ImportError:  # running from a checkout without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import ExperimentScale
 

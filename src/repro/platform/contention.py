@@ -1,7 +1,7 @@
 """Shared-link bandwidth allocation for concurrent transfers.
 
-Concurrent flows crossing the same physical link split its capacity.  Two
-reference policies are provided, both computed in exact rational
+Concurrent flows crossing the same physical link split its capacity.  Three
+reference policies are provided, all computed in exact rational
 arithmetic so simulation fingerprints stay platform-independent:
 
 * :func:`max_min_rates` — progressive filling (the classic max-min fair
@@ -16,6 +16,8 @@ arithmetic so simulation fingerprints stay platform-independent:
   ``capacity / crossing-flow-count``.  One pass, no global
   work-conservation; a useful lower-bound alternative
   (``contention="fairshare"``).
+* :func:`selfish_rates` — strict priority: each priority class is max-min
+  filled against the capacity the more urgent classes left behind.
 
 :class:`LinkContention` is the DES-facing manager: it tracks active flows
 as ``(volume, rate)`` fluid transfers, reallocates on every start/finish,
@@ -30,8 +32,9 @@ from them stay in it, since it is closed under its own arithmetic with
 ints.
 
 The manager is an **incremental, state-carrying kernel** (it used to
-re-run the from-scratch solve on every event).  Three layers, cheapest
-first, all provably bit-identical to the reference allocators:
+re-run the from-scratch solve on every event).  Two layers sit in front
+of the reference allocators, cheapest first, and both are bit-identical
+to them:
 
 1. **Dirty-region settling** — persistent per-link flow sets let each
    event recompute only the connected component(s) of the flow/link
@@ -41,18 +44,17 @@ first, all provably bit-identical to the reference allocators:
    dirty region keep their cached rates exactly.  A lone flow on
    otherwise-idle links short-circuits to ``min(capacity)``.
 2. **Memoization** — solve results are cached under the *frozen flow-set
-   signature*: the multiset of (priority class, deduped route) pairs plus
-   the region's link capacities.  Flows with identical routes are
-   symmetric under every allocator, so steady-state runs that revisit the
-   same flow configuration (the common case the warp engine exploits)
-   skip the solve entirely.
-3. **Integer-scaled arithmetic** — capacities are normalized to a common
-   denominator once per epoch (re-derived when ``set_capacity`` changes a
-   denominator), letting progressive filling run in machine ints with
-   cross-multiplied bottleneck comparisons; rationals are reconstructed
-   only at the settle boundary.  When degrade events push the common
-   denominator past a fixed bound the kernel falls back to exact Fraction
-   arithmetic — same results, just slower.
+   signature*: the multiset of (priority class, deduped route) pairs.
+   Flows with identical routes are symmetric under every allocator, so
+   steady-state runs that revisit the same flow configuration (the
+   common case the warp engine exploits) skip the solve entirely.  Link
+   capacities are fixed within a *capacity epoch*; ``set_capacity`` opens
+   a new one and flushes the memo, and nothing else.
+
+A memo miss on a region of two or more flows runs the mode's own
+allocator (:func:`max_min_rates`, :func:`fair_share_rates` or
+:func:`selfish_rates`) on the region's deduped routes, so each policy has
+exactly one solver.
 
 ``LinkContention(..., incremental=False)`` restores the from-scratch
 reference behaviour (used by the benchmark speedup gate and the
@@ -62,7 +64,6 @@ equality property tests).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import PlatformError
@@ -72,12 +73,6 @@ __all__ = ["max_min_rates", "fair_share_rates", "selfish_rates",
            "LinkContention"]
 
 FlowId = Hashable
-
-#: Common-denominator bound for the integer fast path.  Progressive
-#: filling multiplies the running denominator by each bottleneck's flow
-#: count, so the starting scale must leave big-int headroom; past this
-#: the kernel falls back to Fraction arithmetic (exactness either way).
-_INT_SCALE_LIMIT = 1 << 63
 
 #: Memo entries kept before the cache is wholesale cleared (bounded
 #: memory on adversarial churn; steady-state runs reuse a handful).
@@ -242,81 +237,6 @@ _ALLOCATORS = {"maxmin": max_min_rates, "fairshare": fair_share_rates,
                "selfish": selfish_rates}
 
 
-def _common_denominator(caps) -> Optional[int]:
-    """lcm of the capacities' denominators, or ``None`` past the int
-    bound (→ Fraction fallback)."""
-    scale = 1
-    for cap in caps:
-        den = cap.denominator  # ints carry .denominator == 1
-        if den != 1:
-            scale = scale * den // gcd(scale, den)
-            if scale > _INT_SCALE_LIMIT:
-                return None
-    return scale
-
-
-def _scaled_caps(caps: Mapping[int, Fraction], scale: int) -> Dict[int, int]:
-    """Capacities as exact machine ints at ``scale``× (``cap * scale``
-    is integral by construction of the common denominator)."""
-    return {link: int(cap * scale) for link, cap in caps.items()}
-
-
-def _max_min_int(flows: Mapping[FlowId, Tuple[int, ...]],
-                 int_caps: Mapping[int, int],
-                 scale: int) -> Dict[FlowId, Fraction]:
-    """Progressive filling in integer arithmetic (routes pre-deduped).
-
-    Remaining capacities are ints over a running denominator ``level_den
-    = scale``; saturating a bottleneck with ``n`` unfrozen flows
-    multiplies every live remainder (and the denominator) by ``n`` so the
-    fair-share level itself becomes an integer.  Bottleneck selection
-    cross-multiplies instead of dividing.  Exactly mirrors
-    :func:`max_min_rates` round for round; Fractions are built only for
-    the final per-flow rates.
-    """
-    rates: Dict[FlowId, Fraction] = {}
-    link_flows: Dict[int, List[FlowId]] = {}
-    for fid, links in flows.items():
-        for link in links:
-            link_flows.setdefault(link, []).append(fid)
-    remaining = {link: int_caps[link] for link in link_flows}
-    counts = {link: len(fids) for link, fids in link_flows.items()}
-    level_den = scale
-    unfrozen = len(flows)
-    while unfrozen:
-        bottleneck = None
-        best_num = best_count = 1
-        for link, count in counts.items():
-            num = remaining[link]
-            if bottleneck is None:
-                bottleneck, best_num, best_count = link, num, count
-                continue
-            lhs = num * best_count
-            rhs = best_num * count
-            if lhs < rhs or (lhs == rhs and link < bottleneck):
-                bottleneck, best_num, best_count = link, num, count
-        if best_num < 0:
-            best_num = 0
-        if best_count != 1:
-            for link in counts:
-                remaining[link] *= best_count
-            level_den *= best_count
-        level = best_num
-        for fid in link_flows[bottleneck]:
-            if fid in rates:
-                continue
-            rates[fid] = FastFraction(level, level_den)
-            unfrozen -= 1
-            for link in flows[fid]:
-                remaining[link] -= level
-                count = counts[link] - 1
-                if count:
-                    counts[link] = count
-                else:
-                    del counts[link]
-    return rates
-
-
 class _Flow:
     __slots__ = ("route", "links", "volume", "rate", "since", "seq")
 
@@ -338,22 +258,21 @@ class LinkContention:
     The engine registers a flow when a transfer starts and removes it when
     it finishes (or is preempted); each change triggers an incremental
     re-settle of the dirty region (see the module docstring for the
-    kernel's three layers).  Remaining volumes are settled lazily — only
+    kernel's two layers).  Remaining volumes are settled lazily — only
     flows whose rate actually changes get their volume updated
     (``volume -= rate × elapsed``) and are reported back so the engine
     reschedules exactly those timers.  Exact arithmetic keeps every
     settlement lossless.
 
     Solver statistics (``stats()``) feed the telemetry registry:
-    reallocation events, dirty-set sizes, memo hits, and how often each
-    arithmetic path ran.
+    reallocation events, dirty-set sizes, memo hits, and how often the
+    shortcut and the allocator resolved a settle.
     """
 
     __slots__ = ("capacities", "mode", "incremental", "_selfish", "_flows",
-                 "_priorities", "_link_flows", "_memo", "_scales",
-                 "_flow_seq", "reallocations",
-                 "rate_changes", "settles_full", "settles_incremental",
-                 "solves_trivial", "solves_int", "solves_fraction",
+                 "_priorities", "_link_flows", "_memo", "_flow_seq",
+                 "reallocations", "rate_changes", "settles_full",
+                 "settles_incremental", "solves_trivial", "solves_fraction",
                  "memo_hits", "memo_evictions", "dirty_flows",
                  "dirty_links")
 
@@ -375,16 +294,13 @@ class LinkContention:
         #: frozen flow-set signature → {tag: rate} (valid for the current
         #: capacity epoch; cleared wholesale by :meth:`set_capacity`).
         self._memo: Dict[tuple, Dict[object, Fraction]] = {}
-        #: region links tuple → (scale, int caps), cached per epoch.
-        self._scales: Dict[tuple, tuple] = {}
         self._flow_seq = 0
         self.reallocations = 0      # settle events (telemetry)
         self.rate_changes = 0       # flows whose rate changed mid-flight
         self.settles_full = 0       # dirty region spanned every flow
         self.settles_incremental = 0
         self.solves_trivial = 0     # lone flow on idle links: min(cap)
-        self.solves_int = 0         # integer-scaled progressive fillings
-        self.solves_fraction = 0    # exact-Fraction fallbacks
+        self.solves_fraction = 0    # allocator runs (exact FastFractions)
         self.memo_hits = 0
         self.memo_evictions = 0
         self.dirty_flows = 0        # cumulative dirty-set sizes
@@ -407,7 +323,6 @@ class LinkContention:
             "settles_full": self.settles_full,
             "settles_incremental": self.settles_incremental,
             "solves_trivial": self.solves_trivial,
-            "solves_int": self.solves_int,
             "solves_fraction": self.solves_fraction,
             "memo_hits": self.memo_hits,
             "memo_evictions": self.memo_evictions,
@@ -538,12 +453,10 @@ class LinkContention:
         if link not in self.capacities:
             raise PlatformError(f"no link {link!r}")
         self.capacities[link] = _fast(cap)
-        # Epoch boundary: memoized solutions and integer scales are keyed
-        # on flow signatures *within* one capacity configuration (the new
-        # capacity may also carry a new denominator), so both caches are
-        # dropped wholesale and rebuilt lazily by the next solves.
+        # Epoch boundary: memoized solutions are keyed on flow signatures
+        # *within* one capacity configuration, so the memo is dropped
+        # wholesale and rebuilt lazily by the next solves.
         self._memo.clear()
-        self._scales.clear()
         return self._settle((link,), now)
 
     # ----------------------------------------------------------- internals
@@ -599,15 +512,8 @@ class LinkContention:
             # Reference mode: from-scratch solve over everything, exactly
             # the pre-incremental kernel (benchmark twin / test oracle).
             self.settles_full += 1
-            self.solves_fraction += 1
-            routes = {fid: flow.route for fid, flow in flows.items()}
-            if self._selfish:
-                new_rates = selfish_rates(routes, self.capacities,
-                                          self._priorities)
-            else:
-                new_rates = _ALLOCATORS[self.mode](routes, self.capacities)
-            new_rates = {fid: _exact(rate)
-                         for fid, rate in new_rates.items()}
+            new_rates = self._allocate({fid: flow.route
+                                        for fid, flow in flows.items()})
             ordered = list(flows)
         else:
             affected = self._closure(seeds)
@@ -663,13 +569,12 @@ class LinkContention:
             return {fid: _exact(min(capacities[link]
                                     for link in flows[fid].links))}
 
-        selfish = self._selfish
         # Frozen flow-set signature: flows are interchangeable within a
         # (priority class, deduped route) bucket under every allocator,
         # and link capacities are fixed within an epoch (set_capacity
         # clears the memo), so the multiset of buckets alone determines
         # the solution.
-        if selfish:
+        if self._selfish:
             priorities = self._priorities
             tagged = [(priorities.get(fid), flows[fid].links)
                       for fid in ordered]
@@ -689,18 +594,7 @@ class LinkContention:
             self.memo_hits += 1
             return {fid: cached[tag] for fid, tag in zip(ordered, tagged)}
 
-        region_links = sorted({link for fid in ordered
-                               for link in flows[fid].links})
-        routes = {fid: flows[fid].links for fid in ordered}
-        if selfish:
-            rates = self._solve_selfish(routes, region_links)
-        elif self.mode == "fairshare":
-            rates = self._solve_fairshare(routes, region_links)
-        else:
-            rates = self._solve_maxmin(routes, region_links)
-        for fid in ordered:
-            rates[fid] = _exact(rates[fid])
-
+        rates = self._allocate({fid: flows[fid].links for fid in ordered})
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
             self.memo_evictions += 1
@@ -708,91 +602,12 @@ class LinkContention:
                                  for fid, tag in zip(ordered, tagged)}
         return rates
 
-    def _region_scale(self, region_links) -> tuple:
-        """``(scale, int caps)`` for a region, cached per epoch.
-
-        The scale is the lcm of the *region's* capacity denominators —
-        derived per region rather than globally because one exotic
-        denominator anywhere else in the fabric would otherwise push
-        every solve onto the Fraction path.  ``(None, None)`` means the
-        region itself is past the int bound (→ Fraction fallback).
-        """
-        key = tuple(region_links)
-        cached = self._scales.get(key)
-        if cached is None:
-            caps = {link: self.capacities[link] for link in region_links}
-            scale = _common_denominator(caps.values())
-            cached = (scale,
-                      None if scale is None else _scaled_caps(caps, scale))
-            if len(self._scales) >= _MEMO_LIMIT:
-                self._scales.clear()
-            self._scales[key] = cached
-        return cached
-
-    def _solve_maxmin(self, routes, region_links) -> Dict[FlowId, Fraction]:
-        scale, int_caps = self._region_scale(region_links)
-        if scale is None:
-            self.solves_fraction += 1
-            return max_min_rates(routes,
-                                 {link: self.capacities[link]
-                                  for link in region_links})
-        self.solves_int += 1
-        return _max_min_int(routes, int_caps, scale)
-
-    def _solve_fairshare(self, routes,
-                         region_links) -> Dict[FlowId, Fraction]:
-        scale, int_caps = self._region_scale(region_links)
-        if scale is None:
-            self.solves_fraction += 1
-            return fair_share_rates(routes,
-                                    {link: self.capacities[link]
-                                     for link in region_links})
-        self.solves_int += 1
-        counts: Dict[int, int] = {}
-        for links in routes.values():
-            for link in links:
-                counts[link] = counts.get(link, 0) + 1
-        rates: Dict[FlowId, Fraction] = {}
-        for fid, links in routes.items():
-            best_num = best_count = None
-            for link in links:
-                num, count = int_caps[link], counts[link]
-                if best_num is None or num * best_count < best_num * count:
-                    best_num, best_count = num, count
-            rates[fid] = FastFraction(best_num, best_count * scale)
-        return rates
-
-    def _solve_selfish(self, routes, region_links) -> Dict[FlowId, Fraction]:
-        """Strict-priority filling, class by class, each class through the
-        integer path when its remaining capacities allow it.
-
-        The first class sees the epoch capacities; later classes see
-        remnants whose denominators carry the earlier levels, so each
-        class re-derives its own scale (classes are few — one per app).
-        """
-        priorities = self._priorities
-        classes: Dict[object, Dict[FlowId, Tuple[int, ...]]] = {}
-        for fid, links in routes.items():
-            classes.setdefault(priorities.get(fid), {})[fid] = links
-        order = sorted(key for key in classes if key is not None)
-        if None in classes:
-            order.append(None)
-        remaining = {link: self.capacities[link] for link in region_links}
-        rates: Dict[FlowId, Fraction] = {}
-        for key in order:
-            class_flows = classes[key]
-            scale = _common_denominator(remaining.values())
-            if scale is None:
-                self.solves_fraction += 1
-                class_rates = max_min_rates(class_flows, remaining)
-            else:
-                self.solves_int += 1
-                class_rates = _max_min_int(class_flows,
-                                           _scaled_caps(remaining, scale),
-                                           scale)
-            for fid, rate in class_rates.items():
-                rates[fid] = rate
-                for link in class_flows[fid]:
-                    left = remaining[link] - rate
-                    remaining[link] = left if left > 0 else _ZERO
-        return rates
+    def _allocate(self, routes) -> Dict[FlowId, Fraction]:
+        """The mode's reference allocator on ``routes``, with the rates
+        :func:`_exact`-normalized."""
+        self.solves_fraction += 1
+        if self._selfish:
+            rates = selfish_rates(routes, self.capacities, self._priorities)
+        else:
+            rates = _ALLOCATORS[self.mode](routes, self.capacities)
+        return {fid: _exact(rate) for fid, rate in rates.items()}

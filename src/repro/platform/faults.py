@@ -468,11 +468,12 @@ def chaos_schedule(platform, *, seed: int, events: int = 6,
             kind = rng.random()
             if kind < 0.35:
                 # Crash the node — and refuse link events against it from
-                # now on (validate()'s post-crash rule).  Crashing the
-                # whole candidate pool is allowed: the root reclaims and
-                # computes everything itself.
-                for sub in platform.subtree_ids(node):
-                    crashed.add(sub)
+                # now on (validate()'s post-crash rule).  Its children
+                # survive as orphans and may crash later; their links die
+                # with this crash, which _drop_post_crash accounts for.
+                # Crashing the whole candidate pool is allowed: the root
+                # reclaims and computes everything itself.
+                crashed.add(node)
                 out.append(CrashEvent(at_time=t, node=node))
                 budget -= 1
             else:

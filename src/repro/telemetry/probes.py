@@ -267,8 +267,8 @@ class TelemetryProbe:
 
         # Contention-solver statistics (graph engines only): every stat
         # lands as a ``contention.*`` counter so kernel regressions —
-        # memo hit rate collapsing, the integer path falling back to
-        # Fractions — are visible in exported snapshots and traces.
+        # memo hit rate collapsing, the solve count climbing — are
+        # visible in exported snapshots and traces.
         manager = getattr(engine, "contention", None)
         if manager is not None:
             for name, value in manager.stats().items():

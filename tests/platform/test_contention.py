@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlatformError
 from repro.platform import LinkContention, fair_share_rates, max_min_rates
+from repro.platform.contention import selfish_rates
 
 F = Fraction
 
@@ -172,3 +175,125 @@ class TestLinkContention:
                        for fid, rate, _ in mgr.start("b", (0, 1), 1, 0))
         assert updates["a"] == F(1, 2)
         assert updates["b"] == F(1, 4)
+
+
+# ------------------------------------------------ the definition as oracle
+#: Large primes (Mersenne and others): shares of capacities over them
+#: carry denominators far past machine-word size.
+HUGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+               618970019642690137449562111, 1000000007, 998244353)
+
+int_caps = st.integers(1, 20).map(F)
+small_fraction_caps = st.builds(F, st.integers(1, 20), st.integers(1, 12))
+huge_prime_caps = st.builds(F, st.integers(1, 20),
+                            st.sampled_from(HUGE_PRIMES))
+
+
+@st.composite
+def instances(draw):
+    """A capacity map from one capacity family, and 1–8 flows whose routes
+    (1–4 hops, repeats allowed) cross it."""
+    family = draw(st.sampled_from(
+        (int_caps, small_fraction_caps, huge_prime_caps)))
+    caps = dict(enumerate(draw(st.lists(family, min_size=1, max_size=6))))
+    route = st.lists(st.sampled_from(sorted(caps)), min_size=1, max_size=4)
+    routes = draw(st.lists(route.map(tuple), min_size=1, max_size=8))
+    flows = {f"f{i}": links for i, links in enumerate(routes)}
+    priorities = {fid: draw(st.sampled_from((0, 1, 2, None)))
+                  for fid in flows}
+    return flows, caps, priorities
+
+
+def _crossing(flows):
+    """Link id → the flows whose route crosses it (each flow once)."""
+    crossing = {}
+    for fid, route in flows.items():
+        for link in set(route):
+            crossing.setdefault(link, []).append(fid)
+    return crossing
+
+
+def assert_max_min_fair(flows, caps, rates):
+    """``rates`` is the max-min fair allocation of ``flows`` on ``caps``.
+
+    Feasible: no link carries more than its capacity.  Bottlenecked:
+    every flow crosses a saturated link on which no flow gets more than
+    it does.  Together these define the (unique) max-min allocation.
+    """
+    assert set(rates) == set(flows)
+    for rate in rates.values():
+        assert isinstance(rate, (int, Fraction)) and rate >= 0
+    crossing = _crossing(flows)
+    load = {link: sum(rates[fid] for fid in fids)
+            for link, fids in crossing.items()}
+    for link, used in load.items():
+        assert used <= caps[link], f"link {link} over capacity"
+    for fid, route in flows.items():
+        assert any(load[link] == caps[link]
+                   and all(rates[other] <= rates[fid]
+                           for other in crossing[link])
+                   for link in set(route)), f"flow {fid} has no bottleneck"
+
+
+class TestAllocatorsMeetTheirDefinitions:
+    """Each allocator against its definition, not against another solver
+    (the incremental kernel and its reference twin share the allocators,
+    so their agreement alone cannot catch an allocator bug)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_max_min_rates(self, instance):
+        flows, caps, _ = instance
+        assert_max_min_fair(flows, caps, max_min_rates(flows, caps))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_selfish_rates_fill_each_class_max_min(self, instance):
+        flows, caps, priorities = instance
+        rates = selfish_rates(flows, caps, priorities)
+        assert set(rates) == set(flows)
+        order = sorted({p for p in priorities.values() if p is not None})
+        if None in priorities.values():
+            order.append(None)
+        remaining = dict(caps)
+        for key in order:
+            members = {fid: route for fid, route in flows.items()
+                       if priorities[fid] == key}
+            assert_max_min_fair(members, remaining,
+                                {fid: rates[fid] for fid in members})
+            for fid, route in members.items():
+                for link in set(route):
+                    remaining[link] -= rates[fid]
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_fair_share_rates(self, instance):
+        flows, caps, _ = instance
+        rates = fair_share_rates(flows, caps)
+        crossing = _crossing(flows)
+        assert rates == {
+            fid: min(caps[link] / len(crossing[link]) for link in set(route))
+            for fid, route in flows.items()}
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances())
+    def test_incremental_kernel_settles_on_max_min(self, instance):
+        # Flows started one by one go through the shortcuts, the memo and
+        # the allocator; the state they settle on must still be max-min.
+        flows, caps, _ = instance
+        manager = LinkContention(caps, "maxmin")
+        for fid, route in flows.items():
+            manager.start(fid, route, 10, 0)
+        assert_max_min_fair(flows, caps,
+                            {fid: manager.rate_of(fid) for fid in flows})
+
+    def test_oracle_rejects_a_non_max_min_allocation(self):
+        # The nested-bottleneck fixture: an equal split leaves link 0
+        # unsaturated under flow a, which the oracle must catch.
+        flows = {"a": (0,), "b": (0, 1), "c": (1,)}
+        caps = {0: F(1), 1: F(1, 2)}
+        with pytest.raises(AssertionError, match="no bottleneck"):
+            assert_max_min_fair(flows, caps, fair_share_rates(flows, caps))
+        with pytest.raises(AssertionError, match="over capacity"):
+            assert_max_min_fair(flows, caps, {"a": F(1), "b": F(1, 4),
+                                              "c": F(1, 4)})

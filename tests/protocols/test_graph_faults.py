@@ -27,11 +27,12 @@ from repro.platform import (
     LinkFailureEvent,
     LinkRepairEvent,
     Mutation,
+    PlatformGraph,
     SwitchCrashEvent,
     chaos_schedule,
     generate_platform,
 )
-from repro.platform.generator import generate_tree
+from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.protocols import (
     PriorityRule,
     ProtocolConfig,
@@ -353,6 +354,26 @@ class TestChaosSchedule:
         schedule = chaos_schedule(tree, seed=5)
         schedule.validate(tree)  # must not raise
         assert not schedule.has_graph_events()
+
+    def test_tree_chaos_lets_orphans_crash_later(self):
+        # One crash model: a crash takes the node alone, so its children
+        # live on as orphans and stay candidates for crashes of their own.
+        # On this 4-node tree (0 ← 1 ← {2, 3}) node 1 crashes at t=58 and
+        # its orphan 3 at t=258.
+        tree = generate_tree(TreeGeneratorParams(min_nodes=4, max_nodes=9),
+                             seed=2)
+        schedule = chaos_schedule(tree, seed=2)
+        crash_at = {event.node: event.at_time for event in schedule
+                    if isinstance(event, CrashEvent)}
+        assert tree.parent[3] == 1
+        assert crash_at[1] < crash_at[3]
+        for config in (CONFIG, ProtocolConfig.non_interruptible()):
+            result = simulate(tree, 60, config, faults=schedule,
+                              check_invariants=True)
+            embedded = simulate(PlatformGraph.from_tree(tree), 60, config,
+                                faults=schedule, check_invariants=True)
+            assert len(result.completion_times) == 60
+            assert result.fingerprint() == embedded.fingerprint()
 
     @pytest.mark.parametrize("shape", ["star", "chain", "leafspine"])
     def test_graph_chaos_validates_with_overlay(self, shape):
