@@ -32,29 +32,41 @@ from them stay in it, since it is closed under its own arithmetic with
 ints.
 
 The manager is an **incremental, state-carrying kernel** (it used to
-re-run the from-scratch solve on every event).  Two layers sit in front
-of the reference allocators, cheapest first, and both are bit-identical
-to them:
+re-run the from-scratch solve on every event): a flow event costs what it
+changes.  Persistent per-link flow sets and three tables sit in front of
+the reference allocators, and all of it is bit-identical to them:
 
-1. **Dirty-region settling** — persistent per-link flow sets let each
-   event recompute only the connected component(s) of the flow/link
-   sharing graph that the changed flow touches.  Progressive filling
-   decomposes over components (a bottleneck level in one component never
-   references capacities or counts of another), so flows outside the
-   dirty region keep their cached rates exactly.  A lone flow on
-   otherwise-idle links short-circuits to ``min(capacity)``.
-2. **Memoization** — solve results are cached under the *frozen flow-set
-   signature*: the multiset of (priority class, deduped route) pairs.
-   Flows with identical routes are symmetric under every allocator, so
-   steady-state runs that revisit the same flow configuration (the
-   common case the warp engine exploits) skip the solve entirely.  Link
-   capacities are fixed within a *capacity epoch*; ``set_capacity`` opens
-   a new one and flushes the memo, and nothing else.
+1. **The route table** maps each route to its deduped sorted links and
+   its *lone-flow rate*, the least capacity on it: the rate a flow gets
+   alone on its links under every allocator.  A route is deduplicated and
+   validated once per capacity epoch, not on every ``start``.  A flow
+   that starts on idle links (an *exclusive start*) and a settle whose
+   dirty region is one flow both take their rate from it.
+2. **The dirty region** of a settle is the set of flows whose rates the
+   event can change, and it follows the allocator's coupling:
 
-A memo miss on a region of two or more flows runs the mode's own
-allocator (:func:`max_min_rates`, :func:`fair_share_rates` or
-:func:`selfish_rates`) on the region's deduped routes, so each policy has
-exactly one solver.
+   * ``maxmin`` and ``selfish`` — the connected components of the
+     flow/link sharing graph that touch the changed links.  Progressive
+     filling decomposes over components (a bottleneck level in one never
+     references capacities or counts of another), so flows outside keep
+     their rates exactly.  From a flow the closure follows only links
+     another flow also crosses, and a lone flow is recognised before it.
+   * ``fairshare`` — only the flows crossing the changed links, since a
+     flow's share reads nothing but its own links.  Their rates come
+     from **the share table**, ``(link, crossing count) → share``, built
+     with :func:`fair_share_rates`' own per-link share function.
+3. **The memo** caches ``maxmin``/``selfish`` solves of regions of two
+   or more flows under the *frozen flow-set signature*: the multiset of
+   (priority class, deduped route) pairs.  Flows with identical routes
+   are symmetric under every allocator, so steady-state runs that revisit
+   the same flow configuration (the common case the warp engine exploits)
+   skip the solve entirely.  A memo miss runs the mode's own allocator
+   (:func:`max_min_rates` or :func:`selfish_rates`) on the region's
+   deduped routes, so each policy has exactly one solver.
+
+Link capacities are fixed within a *capacity epoch*; ``set_capacity``
+opens a new one and flushes the route table, the share table and the
+memo together, since all three derive from the old capacities.
 
 ``LinkContention(..., incremental=False)`` restores the from-scratch
 reference behaviour (used by the benchmark speedup gate and the
@@ -176,6 +188,12 @@ def max_min_rates(flows: Mapping[FlowId, Sequence[int]],
     return rates
 
 
+def _link_share(cap, count: int):
+    """One link's fair share: its capacity split evenly over ``count``
+    crossing flows."""
+    return _rational(cap) / count
+
+
 def fair_share_rates(flows: Mapping[FlowId, Sequence[int]],
                      capacities: Mapping[int, Fraction],
                      ) -> Dict[FlowId, Fraction]:
@@ -193,7 +211,7 @@ def fair_share_rates(flows: Mapping[FlowId, Sequence[int]],
             cap = capacities.get(link)
             if cap is None:
                 raise PlatformError(f"flow crosses unknown link {link}")
-            s = _rational(cap) / counts[link]
+            s = _link_share(cap, counts[link])
             if share is None or s < share:
                 share = s
         rates[fid] = share
@@ -238,12 +256,13 @@ _ALLOCATORS = {"maxmin": max_min_rates, "fairshare": fair_share_rates,
 
 
 class _Flow:
-    __slots__ = ("route", "links", "volume", "rate", "since", "seq")
+    __slots__ = ("route", "links", "lone", "volume", "rate", "since", "seq")
 
-    def __init__(self, route: Tuple[int, ...], links: Tuple[int, ...],
+    def __init__(self, route: Tuple[int, ...], links: Tuple[int, ...], lone,
                  volume, rate, since, seq: int):
         self.route = route
-        self.links = links      # deduped sorted route (cached once)
+        self.links = links      # deduped sorted route (from the route table)
+        self.lone = lone        # rate alone on its links, this epoch
         self.volume = volume    # remaining volume in tasks
         self.rate = rate        # current allocated rate (tasks/step)
         self.since = since      # sim time of the last volume settlement
@@ -258,8 +277,8 @@ class LinkContention:
     The engine registers a flow when a transfer starts and removes it when
     it finishes (or is preempted); each change triggers an incremental
     re-settle of the dirty region (see the module docstring for the
-    kernel's two layers).  Remaining volumes are settled lazily — only
-    flows whose rate actually changes get their volume updated
+    kernel's tables and regions).  Remaining volumes are settled lazily —
+    only flows whose rate actually changes get their volume updated
     (``volume -= rate × elapsed``) and are reported back so the engine
     reschedules exactly those timers.  Exact arithmetic keeps every
     settlement lossless.
@@ -269,8 +288,9 @@ class LinkContention:
     shortcut and the allocator resolved a settle.
     """
 
-    __slots__ = ("capacities", "mode", "incremental", "_selfish", "_flows",
-                 "_priorities", "_link_flows", "_memo", "_flow_seq",
+    __slots__ = ("capacities", "mode", "incremental", "_selfish",
+                 "_fairshare", "_flows", "_priorities", "_link_flows",
+                 "_routes", "_shares", "_memo", "_flow_seq",
                  "reallocations", "rate_changes", "settles_full",
                  "settles_incremental", "solves_trivial", "solves_fraction",
                  "memo_hits", "memo_evictions", "dirty_flows",
@@ -285,23 +305,29 @@ class LinkContention:
         self.mode = mode
         self.incremental = incremental
         self._selfish = mode == "selfish"
+        self._fairshare = mode == "fairshare"
         self.capacities = {link: _fast(cap)
                            for link, cap in capacities.items()}
         self._flows: Dict[FlowId, _Flow] = {}
         self._priorities: Dict[FlowId, object] = {}
         #: link id → insertion-ordered set (dict keys) of crossing flows.
         self._link_flows: Dict[int, Dict[FlowId, None]] = {}
-        #: frozen flow-set signature → {tag: rate} (valid for the current
-        #: capacity epoch; cleared wholesale by :meth:`set_capacity`).
+        # The three tables below hold answers for the current capacity
+        # epoch; :meth:`set_capacity` clears them together.
+        #: route → (deduped sorted links, lone-flow rate).
+        self._routes: Dict[tuple, Tuple[Tuple[int, ...], object]] = {}
+        #: (link, crossing-flow count) → that link's fair share.
+        self._shares: Dict[Tuple[int, int], object] = {}
+        #: frozen flow-set signature → {tag: rate}.
         self._memo: Dict[tuple, Dict[object, Fraction]] = {}
         self._flow_seq = 0
         self.reallocations = 0      # settle events (telemetry)
         self.rate_changes = 0       # flows whose rate changed mid-flight
         self.settles_full = 0       # dirty region spanned every flow
         self.settles_incremental = 0
-        self.solves_trivial = 0     # lone flow on idle links: min(cap)
-        self.solves_fraction = 0    # allocator runs (exact FastFractions)
-        self.memo_hits = 0
+        self.solves_trivial = 0     # lone flow: the route table's rate
+        self.solves_fraction = 0    # allocator runs / share-table misses
+        self.memo_hits = 0          # memo / share-table hits
         self.memo_evictions = 0
         self.dirty_flows = 0        # cumulative dirty-set sizes
         self.dirty_links = 0
@@ -346,19 +372,20 @@ class LinkContention:
         initial rate and full volume.  ``priority`` tags the flow for the
         ``selfish`` allocator (lower sorts first); other modes ignore it.
         """
-        if fid in self._flows:
+        flows = self._flows
+        if fid in flows:
             raise PlatformError(f"flow {fid!r} already active")
-        if not route:
-            raise PlatformError(f"flow {fid!r} has an empty route")
-        route = tuple(route)
-        links = route if len(route) == 1 else tuple(sorted(set(route)))
-        for link in links:
-            if link not in self.capacities:
-                raise PlatformError(f"flow crosses unknown link {link}")
+        if route.__class__ is not tuple:
+            route = tuple(route)
+        entry = self._routes.get(route)
+        if entry is None:
+            if not route:
+                raise PlatformError(f"flow {fid!r} has an empty route")
+            entry = self._route(route)
+        links, lone = entry
         seq = self._flow_seq + 1
         self._flow_seq = seq
-        flow = _Flow(route, links, volume, _ZERO, now, seq)
-        self._flows[fid] = flow
+        flow = flows[fid] = _Flow(route, links, lone, volume, _ZERO, now, seq)
         link_flows = self._link_flows
         shared = False
         for link in links:
@@ -372,24 +399,21 @@ class LinkContention:
             self._priorities[fid] = priority
         if self.incremental and not shared:
             # Exclusive links: the flow is alone in its component, so its
-            # rate is min(cap) under every allocator and nobody else moves
-            # — skip the closure/solve machinery entirely.
+            # rate is the route's lone rate under every allocator and
+            # nobody else moves.
             self.reallocations += 1
             self.settles_incremental += 1
             self.solves_trivial += 1
             self.dirty_flows += 1
             self.dirty_links += len(links)
-            capacities = self.capacities
-            if len(links) == 1:
-                rate = _exact(capacities[links[0]])
-            else:
-                rate = _exact(min(capacities[link] for link in links))
-            if rate != flow.rate:
-                flow.rate = rate
-            return [(fid, flow.rate, _exact(flow.volume))]
+            if lone:
+                flow.rate = lone
+            return [(fid, flow.rate, _exact(volume))]
         updates = self._settle(links, now)
-        if all(u[0] != fid for u in updates):
-            updates.append((fid, flow.rate, _exact(flow.volume)))
+        if flow.rate is _ZERO:
+            # Starved from the start: no settle reported it, so report
+            # its zero rate once here.
+            updates.append((fid, _ZERO, _exact(volume)))
         return updates
 
     def finish(self, fid: FlowId, now) -> List[Tuple[FlowId, object, object]]:
@@ -398,22 +422,13 @@ class LinkContention:
         if flow is None:
             raise PlatformError(f"no active flow {fid!r}")
         self._priorities.pop(fid, None)
-        self._unlink(fid, flow)
-        links = flow.links
-        if self.incremental:
-            link_flows = self._link_flows
-            for link in links:
-                if link in link_flows:
-                    break
-            else:
-                # The departed flow had its links to itself: the dirty
-                # region is empty and nobody's rate can change.  Counter
-                # bookkeeping matches what _settle would have recorded.
-                self.reallocations += 1
-                if self._flows:
-                    self.dirty_links += len(links)
-                return []
-        return self._settle(links, now)
+        if not self._unlink(fid, flow) and self.incremental:
+            # The departed flow had its links to itself: the dirty region
+            # is empty and nobody's rate can change.  Counter bookkeeping
+            # matches what _settle would have recorded.
+            self.reallocations += 1
+            return []
+        return self._settle(flow.links, now)
 
     def pause(self, fid: FlowId, now):
         """Remove a flow mid-flight; returns ``(remaining_volume,
@@ -453,45 +468,111 @@ class LinkContention:
         if link not in self.capacities:
             raise PlatformError(f"no link {link!r}")
         self.capacities[link] = _fast(cap)
-        # Epoch boundary: memoized solutions are keyed on flow signatures
-        # *within* one capacity configuration, so the memo is dropped
-        # wholesale and rebuilt lazily by the next solves.
+        # Epoch boundary: lone rates, fair shares and memoized solutions
+        # all derive from the old capacities, so the three tables are
+        # dropped wholesale and rebuilt lazily.  Only the flows crossing
+        # ``link`` can have a new lone rate.
+        self._routes.clear()
+        self._shares.clear()
         self._memo.clear()
+        flows = self._flows
+        routes = self._routes
+        for fid in self._link_flows.get(link, ()):
+            route = flows[fid].route
+            flows[fid].lone = (routes.get(route) or self._route(route))[1]
         return self._settle((link,), now)
 
     # ----------------------------------------------------------- internals
-    def _unlink(self, fid: FlowId, flow: _Flow) -> None:
+    def _route(self, route: tuple) -> Tuple[Tuple[int, ...], object]:
+        """Build and cache ``route``'s route-table entry: its sorted
+        distinct links and its lone-flow rate, the least capacity on it
+        (a flow alone on its links gets that under every allocator)."""
+        links = route if len(route) == 1 else tuple(sorted(set(route)))
+        capacities = self.capacities
+        for link in links:
+            if link not in capacities:
+                raise PlatformError(f"flow crosses unknown link {link}")
+        entry = (links, _exact(min(capacities[link] for link in links)))
+        self._routes[route] = entry
+        return entry
+
+    def _unlink(self, fid: FlowId, flow: _Flow) -> bool:
+        """Remove ``flow`` from its links' crossing sets; True when some
+        other flow still crosses one of them."""
         link_flows = self._link_flows
+        shared = False
         for link in flow.links:
             crossing = link_flows[link]
             del crossing[fid]
-            if not crossing:
+            if crossing:
+                shared = True
+            else:
                 del link_flows[link]
+        return shared
 
-    def _closure(self, seeds) -> set:
-        """Flows in the connected sharing components touching ``seeds``.
+    def _region(self, seeds) -> List[FlowId]:
+        """The ``maxmin``/``selfish`` dirty region of a settle seeded at
+        ``seeds``, in registration order: the sharing components touching
+        them.
+
+        A lone flow (the only one on the seed links, with no other flow on
+        any of its own links) is its own component and is found without
+        the closure.
+        """
+        link_flows = self._link_flows
+        lone = None
+        for link in seeds:
+            crossing = link_flows.get(link)
+            if crossing is None:
+                continue
+            if len(crossing) > 1:
+                break
+            (fid,) = crossing
+            if lone is None:
+                lone = fid
+            elif fid != lone:
+                break
+        else:
+            if lone is None:
+                return []
+            links = self._flows[lone].links
+            for link in links:
+                if len(link_flows[link]) > 1:
+                    break
+            else:
+                self.dirty_links += len(links)
+                return [lone]
+        region = self._closure(seeds)
+        if len(region) == len(self._flows):
+            return list(self._flows)  # the flow table is in seq order
+        return sorted(region, key=region.__getitem__)
+
+    def _closure(self, seeds) -> Dict[FlowId, int]:
+        """Flows in the connected sharing components touching ``seeds``,
+        mapped to their registration numbers.
 
         Links connect to the flows crossing them; flows connect to every
         link on their route.  The closure is a union of whole components,
         which is exactly the region whose allocation the triggering event
         can perturb (progressive filling never reads across components).
+        From a flow it follows only links another flow also crosses.
         """
         link_flows = self._link_flows
         flows = self._flows
-        seen_links = set()
-        affected = set()
-        stack = list(seeds)
+        stack = [link for link in seeds if link in link_flows]
+        seen_links = set(stack)
+        affected: Dict[FlowId, int] = {}
         while stack:
-            link = stack.pop()
-            if link in seen_links:
-                continue
-            seen_links.add(link)
-            for fid in link_flows.get(link, ()):
+            for fid in link_flows[stack.pop()]:
                 if fid not in affected:
-                    affected.add(fid)
-                    for other in flows[fid].links:
-                        if other not in seen_links:
-                            stack.append(other)
+                    flow = flows[fid]
+                    affected[fid] = flow.seq
+                    for link in flow.links:
+                        # A link only this flow crosses leads nowhere.
+                        if (link not in seen_links
+                                and len(link_flows[link]) > 1):
+                            seen_links.add(link)
+                            stack.append(link)
         self.dirty_links += len(seen_links)
         return affected
 
@@ -515,31 +596,32 @@ class LinkContention:
             new_rates = self._allocate({fid: flow.route
                                         for fid, flow in flows.items()})
             ordered = list(flows)
+            rates = [new_rates[fid] for fid in ordered]
         else:
-            affected = self._closure(seeds)
-            if not affected:
+            if self._fairshare:
+                ordered = self._share_region(seeds)
+            else:
+                ordered = self._region(seeds)
+            if not ordered:
                 return []
-            self.dirty_flows += len(affected)
-            if len(affected) == len(flows):
+            self.dirty_flows += len(ordered)
+            if len(ordered) == len(flows):
                 self.settles_full += 1
-                ordered = list(flows)
-            elif len(affected) == 1:
-                self.settles_incremental += 1
-                ordered = list(affected)
             else:
                 self.settles_incremental += 1
-                # Insertion order of the flow table, restricted to the
-                # region: updates must fire in the same relative order as
-                # a full reallocation would report them.
-                ordered = sorted(affected,
-                                 key=lambda f: flows[f].seq)
-            new_rates = self._solve(ordered)
+            if self._fairshare:
+                rates = self._shares_of(ordered)
+            elif len(ordered) == 1:
+                self.solves_trivial += 1
+                rates = (flows[ordered[0]].lone,)
+            else:
+                rates = self._solve(ordered)
         updates: List[Tuple[FlowId, object, object]] = []
-        for fid in ordered:
+        for fid, new_rate in zip(ordered, rates):
             flow = flows[fid]
-            new_rate = new_rates[fid]
-            # ``is`` first: memo hits hand back the identical rate objects
-            # every time, so an unchanged flow skips Fraction.__eq__.
+            # ``is`` first: the tables hand back the identical rate
+            # objects every time, so an unchanged flow skips
+            # Fraction.__eq__.
             if new_rate is flow.rate or new_rate == flow.rate:
                 continue
             if flow.rate:  # settle progress made at the old rate
@@ -551,24 +633,63 @@ class LinkContention:
             updates.append((fid, new_rate, _exact(flow.volume)))
         return updates
 
-    def _solve(self, ordered: List[FlowId]) -> Dict[FlowId, Fraction]:
-        """Exact rates for the region's flows (memo → trivial → solver).
+    def _share_region(self, seeds):
+        """The ``fairshare`` dirty region of a settle seeded at ``seeds``:
+        only the flows crossing them, in registration order.  A flow's
+        fair share reads nothing but its own links' capacities and
+        crossing counts, and only the seed links' changed."""
+        link_flows = self._link_flows
+        region: Dict[FlowId, None] = {}
+        links = 0
+        for link in seeds:
+            crossing = link_flows.get(link)
+            if crossing is not None:
+                links += 1
+                region.update(crossing)
+        self.dirty_links += links
+        if links > 1:
+            flows = self._flows
+            return sorted(region, key=lambda fid: flows[fid].seq)
+        # One link's crossing set is already in registration order.
+        return list(region)
+
+    def _shares_of(self, ordered: List[FlowId]) -> list:
+        """Fair-share rates of ``ordered`` from the share table: each
+        flow's least share over its links.  A settle that misses the
+        table counts as a solve, one that hits it throughout as a memo
+        hit."""
+        flows = self._flows
+        link_flows = self._link_flows
+        shares = self._shares
+        missed = False
+        rates = []
+        for fid in ordered:
+            rate = None
+            for link in flows[fid].links:
+                count = len(link_flows[link])
+                share = shares.get((link, count))
+                if share is None:
+                    share = shares[link, count] = _exact(_link_share(
+                        self.capacities[link], count))
+                    missed = True
+                if rate is None or share < rate:
+                    rate = share
+            rates.append(rate)
+        if missed:
+            self.solves_fraction += 1
+        else:
+            self.memo_hits += 1
+        return rates
+
+    def _solve(self, ordered: List[FlowId]) -> List[Fraction]:
+        """Exact rates for a region of two or more flows, in ``ordered``'s
+        order (memo → allocator).
 
         Rates come back :func:`_exact`-normalized, and a given signature
         always hands back the *same* rate objects, so the settle loop's
         identity check short-circuits unchanged flows.
         """
         flows = self._flows
-        capacities = self.capacities
-        if len(ordered) == 1:
-            # A lone flow owns every link it crosses (anything sharing
-            # one would be in its component): rate = min capacity under
-            # every allocator.
-            self.solves_trivial += 1
-            fid = ordered[0]
-            return {fid: _exact(min(capacities[link]
-                                    for link in flows[fid].links))}
-
         # Frozen flow-set signature: flows are interchangeable within a
         # (priority class, deduped route) bucket under every allocator,
         # and link capacities are fixed within an epoch (set_capacity
@@ -592,7 +713,7 @@ class LinkContention:
         cached = self._memo.get(signature)
         if cached is not None:
             self.memo_hits += 1
-            return {fid: cached[tag] for fid, tag in zip(ordered, tagged)}
+            return [cached[tag] for tag in tagged]
 
         rates = self._allocate({fid: flows[fid].links for fid in ordered})
         if len(self._memo) >= _MEMO_LIMIT:
@@ -600,7 +721,7 @@ class LinkContention:
             self.memo_evictions += 1
         self._memo[signature] = {tag: rates[fid]
                                  for fid, tag in zip(ordered, tagged)}
-        return rates
+        return [rates[fid] for fid in ordered]
 
     def _allocate(self, routes) -> Dict[FlowId, Fraction]:
         """The mode's reference allocator on ``routes``, with the rates

@@ -59,11 +59,18 @@ def _leg_duration(volume, rate):
     """Time to drain ``volume`` at ``rate``, exactly (never float).
 
     A :class:`FastFraction` rate (every rate the contention manager
-    hands out that is not an int) keeps the result one too.
+    hands out that is not an int) keeps the result one too.  On int-cost
+    links most rates are unit fractions — a lone flow runs at
+    ``1 / cost``, a fair share at ``1 / (cost × count)`` — and an int
+    volume's time is then an int multiply by the rate's reciprocal, its
+    denominator.
     """
     cls = volume.__class__
     if cls is int:
-        if rate.__class__ is int:
+        if rate.__class__ is FastFraction:
+            if rate._numerator == 1:
+                return volume * rate._denominator
+        elif rate.__class__ is int:
             whole, rest = divmod(volume, rate)
             return FastFraction(volume, rate) if rest else whole
     elif cls is not FastFraction and not isinstance(volume, Fraction):
@@ -93,7 +100,7 @@ class GraphNodeAgent(NodeAgent):
         self.current_transfer = transfer
         updates = engine.contention.start(
             transfer, transfer.child.route, transfer.remaining, self.env.now,
-            priority=engine._flow_priority)
+            engine._flow_priority)
         engine._apply_rate_updates(updates)
 
     def _send_done(self, transfer: Transfer) -> None:
@@ -101,7 +108,8 @@ class GraphNodeAgent(NodeAgent):
         updates = self.engine.contention.finish(transfer, self.env.now)
         # Survivors speed up before the arrival cascade can start new
         # flows, so the cascade allocates against settled state.
-        self.engine._apply_rate_updates(updates)
+        if updates:
+            self.engine._apply_rate_updates(updates)
         super()._send_done(transfer)
 
     def _maybe_preempt(self) -> None:
@@ -115,13 +123,17 @@ class GraphNodeAgent(NodeAgent):
             return
         engine = self.engine
         env = self.env
-        if engine.contention.remaining_volume(current, env.now) <= 0:
-            # The flow's completion timer is due this very timestep (it
-            # just has a later calendar sequence number): let it finish.
-            return
+        timer = current.timer
+        if timer is not None:  # a starved flow stalls timer-less
+            if timer.time <= env.now:
+                # The flow's completion timer is due this very timestep
+                # (it just has a later calendar sequence number): let it
+                # finish.  The timer was set for the instant the flow's
+                # remaining volume reaches 0 at its current rate, so this
+                # is that volume's ``<= 0`` test without recomputing it.
+                return
+            timer.cancel()
         remaining, updates = engine.contention.pause(current, env.now)
-        if current.timer is not None:  # a starved flow stalls timer-less
-            current.timer.cancel()
         current.remaining = remaining
         current.started_at = None
         current.timer = None
@@ -131,7 +143,8 @@ class GraphNodeAgent(NodeAgent):
         tracer = self.tracer
         if tracer is not None:
             tracer.record(env.now, _trace.PREEMPT, self.id, current.child.id)
-        engine._apply_rate_updates(updates)
+        if updates:
+            engine._apply_rate_updates(updates)
         self.try_send()
 
 
@@ -444,19 +457,26 @@ class GraphProtocolEngine(ProtocolEngine):
         overlay parent of its destination, which owns the timer.
         """
         env = self.env
+        now = env.now
         for transfer, rate, volume in updates:
-            if transfer.timer is not None:
-                transfer.timer.cancel()
+            timer = transfer.timer
+            if timer is not None:
+                timer.cancel()
             transfer.remaining = volume
-            transfer.started_at = env.now
-            if volume > 0 and rate == 0:
-                # Starved outright (the selfish allocator gives strictly
-                # higher-priority classes everything): the flow stalls
-                # with no timer; the reallocation that frees capacity
-                # reports it again and reschedules it here.
-                transfer.timer = None
-                continue
-            sender = transfer.child.parent
-            duration = _leg_duration(volume, rate) if volume > 0 else 0
-            transfer.timer = env.call_in(duration, sender._send_done, transfer)
+            transfer.started_at = now
+            if volume > 0:
+                if not rate:
+                    # Starved outright (the selfish allocator gives
+                    # strictly higher-priority classes everything): the
+                    # flow stalls with no timer; the reallocation that
+                    # frees capacity reports it again and reschedules it
+                    # here.
+                    transfer.timer = None
+                    continue
+                duration = _leg_duration(volume, rate)
+            else:
+                duration = 0
+            transfer.timer = env.call_in(duration,
+                                         transfer.child.parent._send_done,
+                                         transfer)
 

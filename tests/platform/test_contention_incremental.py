@@ -185,3 +185,33 @@ def test_memo_flushes_on_capacity_epoch():
     manager.start("c", (0,), 10, 2)
     assert manager.rate_of("a") == F(1, 2)
     assert manager.rate_of("c") == F(1, 2)
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "fairshare", "selfish"])
+def test_route_and_share_tables_flush_on_capacity_epoch(mode):
+    """A capacity change reaches lone-flow rates and fair shares: the
+    route table and the share table are flushed with the memo, and the
+    next flows on the changed links match the reference."""
+    caps = {0: F(2), 1: F(3)}
+    inc = LinkContention(caps, mode, incremental=True)
+    ref = LinkContention(caps, mode, incremental=False)
+
+    def both(op, *args):
+        got, expected = getattr(inc, op)(*args), getattr(ref, op)(*args)
+        _assert_updates_equal(got, expected)
+
+    both("start", "lone", (0,), 10, 0)      # alone on link 0
+    both("start", "a", (1,), 10, 0)         # a fair-share pair on link 1
+    both("start", "b", (1,), 10, 0)
+    both("set_capacity", 0, F(1, 2), 1)
+    both("set_capacity", 1, F(1), 1)
+    for name in ("lone", "a", "b"):
+        assert inc.rate_of(name) == ref.rate_of(name)
+    for name in ("lone", "a", "b"):
+        both("finish", name, 2)
+    both("start", "next0", (0,), 10, 2)     # route (0,) after the epoch
+    both("start", "next1", (1,), 10, 2)
+    both("start", "pair1", (1,), 10, 2)     # share (link 1, 2 flows)
+    assert inc.rate_of("next0") == F(1, 2)
+    for name in ("next0", "next1", "pair1"):
+        assert inc.rate_of(name) == ref.rate_of(name)

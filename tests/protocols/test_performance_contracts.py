@@ -13,7 +13,8 @@ from repro.platform.generator import TreeGeneratorParams
 from repro.platform.faults import (EdgeFailureEvent, EdgeRepairEvent,
                                    chaos_schedule)
 from repro.platform.graph import generate_platform
-from repro.apps import MultiAppEngine
+from repro.apps import Application, MultiAppEngine
+from repro.platform.contention import LinkContention
 from repro.protocols import ProtocolConfig
 
 IC3 = ProtocolConfig.interruptible(3)
@@ -113,3 +114,126 @@ class TestRoutingWork:
         engine.run()
         assert faults == 8
         assert engine.graph.nodes_settled <= faults * graph.num_nodes
+
+
+class _ContentionWork:
+    """Counting wrappers on :class:`LinkContention`'s internals.
+
+    Every ``start``, settle, closure, solve and route-table build is
+    checked as it happens; nothing is timed.
+    """
+
+    def __init__(self, monkeypatch):
+        self.closures = 0
+        self.solves = 0
+        self.exclusive_starts = 0
+        self.one_flow_settles = 0
+        self.share_settles = 0
+        #: Flows the current fair-share settle computed rates for.
+        self.visited = set()
+        #: (manager id, capacity epoch, route) → route-table builds.
+        self.dedupes = {}
+        self.epochs = {}
+        self._wrap(monkeypatch)
+
+    def _wrap(self, monkeypatch):
+        work = self
+        start = LinkContention.start
+        settle = LinkContention._settle
+        closure = LinkContention._closure
+        solve = LinkContention._solve
+        route = LinkContention._route
+        set_capacity = LinkContention.set_capacity
+        shares_of = LinkContention._shares_of
+
+        def counted_start(self, fid, route, *args, **kwargs):
+            exclusive = all(link not in self._link_flows for link in route)
+            before = (work.closures, work.solves)
+            updates = start(self, fid, route, *args, **kwargs)
+            if exclusive:
+                work.exclusive_starts += 1
+                assert (work.closures, work.solves) == before
+            return updates
+
+        def counted_settle(self, seeds, now):
+            crossing = {fid for link in seeds
+                        for fid in self._link_flows.get(link, ())}
+            dirty = self.dirty_flows
+            before = (work.closures, work.solves)
+            work.visited.clear()
+            updates = settle(self, seeds, now)
+            if self.dirty_flows - dirty == 1:
+                work.one_flow_settles += 1
+                assert (work.closures, work.solves) == before
+            if self.mode == "fairshare":
+                # Only the flows crossing the changed links are visited.
+                work.share_settles += 1
+                assert work.visited == crossing
+                assert self.dirty_flows - dirty == len(crossing)
+            return updates
+
+        def counted_closure(self, seeds):
+            work.closures += 1
+            region = closure(self, seeds)
+            assert len(region) >= 2
+            return region
+
+        def counted_solve(self, ordered):
+            work.solves += 1
+            assert len(ordered) >= 2
+            return solve(self, ordered)
+
+        def counted_route(self, route_):
+            key = (id(self), work.epochs.get(id(self), 0), route_)
+            work.dedupes[key] = work.dedupes.get(key, 0) + 1
+            return route(self, route_)
+
+        def counted_set_capacity(self, *args):
+            work.epochs[id(self)] = work.epochs.get(id(self), 0) + 1
+            return set_capacity(self, *args)
+
+        def counted_shares_of(self, ordered):
+            work.visited.update(ordered)
+            return shares_of(self, ordered)
+
+        for name, fn in (("start", counted_start),
+                         ("_settle", counted_settle),
+                         ("_closure", counted_closure),
+                         ("_solve", counted_solve),
+                         ("_route", counted_route),
+                         ("set_capacity", counted_set_capacity),
+                         ("_shares_of", counted_shares_of)):
+            monkeypatch.setattr(LinkContention, name, fn)
+
+
+class TestContentionWork:
+    """A contended flow event pays for what it changes, counted, not
+    timed: exclusive starts and one-flow settles skip the closure and the
+    solver, each route is deduplicated once per capacity epoch, and a
+    fair-share settle visits only the flows crossing the changed links."""
+
+    def test_leafspine_maxmin(self, monkeypatch):
+        work = _ContentionWork(monkeypatch)
+        graph = generate_platform("leafspine", seed=7)
+        simulate(graph, 400, IC3)
+        assert work.exclusive_starts > 0 and work.one_flow_settles > 0
+        assert work.closures > 0 and work.share_settles == 0
+        assert set(work.dedupes.values()) == {1}
+
+    def test_fairshare_tree_three_apps(self, monkeypatch):
+        work = _ContentionWork(monkeypatch)
+        apps = [Application(150, name=f"app{i}", size=i + 1, priority=i)
+                for i in range(3)]
+        simulate(generate_tree(seed=7), apps, IC3, allocator="fairshare")
+        assert work.exclusive_starts > 0 and work.share_settles > 0
+        assert work.closures == 0 and work.solves == 0
+        assert set(work.dedupes.values()) == {1}
+
+    def test_degrade_epochs_rebuild_each_route_once(self, monkeypatch):
+        work = _ContentionWork(monkeypatch)
+        graph = generate_platform("leafspine", seed=7)
+        schedule = chaos_schedule(graph, seed=1017, events=6)
+        simulate(graph, 120, IC3, faults=schedule)
+        assert sum(work.epochs.values()) >= 2  # two degrades, each undone
+        assert any(epoch > 0 for _, epoch, _ in work.dedupes)
+        assert set(work.dedupes.values()) == {1}
