@@ -27,7 +27,11 @@ Raw events/sec is meaningless across machines (a laptop baseline would gate
 a slower CI runner red forever), so every record carries a
 ``calibration_ops_per_sec`` from a fixed pure-``heapq`` loop; ``--check``
 compares *calibration-normalized* throughput, which cancels machine speed
-and isolates genuine kernel regressions.
+and isolates genuine kernel regressions.  On a shared host the speed also
+drifts within one ~2-minute suite, so the kernel suite calibrates next to
+each row and records that value in the row; a row is normalized by its own
+calibration when both it and its baseline row have one, and by the suite
+values otherwise (baselines written before rows carried one).
 """
 
 import argparse
@@ -55,6 +59,8 @@ from workloads import (
     run_engine_arrivals_10k,
     run_engine_arrivals_10k_warp,
     run_engine_arrivals_diurnal,
+    run_engine_fork_narrow,
+    run_engine_fork_wide,
     run_engine_graph_faults,
     run_engine_graph_leafspine,
     run_engine_graph_leafspine_big,
@@ -132,6 +138,10 @@ KERNEL_WORKLOADS = [
     ("engine_multiapp", run_engine_multiapp, 2_000, "events"),
     ("engine_multiapp_contended", run_engine_multiapp_contended, 1_800,
      "events"),
+    # The fork pair: a 1,000-leaf and a 10-leaf star; their per_sec ratio
+    # is the fan-out cost RATIO_GATES checks.
+    ("engine_fork_wide", run_engine_fork_wide, 20_000, "events"),
+    ("engine_fork_narrow", run_engine_fork_narrow, 20_000, "events"),
     # The churn pair drives LinkContention directly (no calendar); their
     # per_sec ratio is the incremental-kernel speedup RATIO_GATES checks.
     ("contention_churn", run_contention_churn, 20_000, "ops"),
@@ -186,12 +196,22 @@ RATIO_GATES = [
     {"name": "telemetry_overhead", "numerator": "engine_ic_10k_telemetry",
      "denominator": "engine_ic_10k", "compare_mode": "paired_median",
      "pairs": 41, "better": "higher", "bound": 0.90},
+    # A send decision must not scan the fan-out: the 1,000-leaf fork's
+    # cost per event stays within 2x of the 10-leaf fork's, i.e. its
+    # events/s is at least half.  Locally ~0.65; a port that scanned its
+    # children read ~0.06 (53 against 3.1 us/event).
+    {"name": "fork_wide_cost", "numerator": "engine_fork_wide",
+     "denominator": "engine_fork_narrow", "compare_mode": "paired_median",
+     "pairs": 11, "better": "higher", "bound": 0.5},
 ]
 
 
 def run_kernel_suite(repeats):
     records = []
     for name, fn, arg, unit_kind in KERNEL_WORKLOADS:
+        # Next to the row, so host-speed drift during the suite is not
+        # read as a change of the row's throughput.
+        calibration = calibrate()
         units, wall, collections = _measure(fn, arg, repeats)
         records.append({
             "name": name,
@@ -199,11 +219,13 @@ def run_kernel_suite(repeats):
             "unit_kind": unit_kind,
             "wall_s": round(wall, 6),
             "per_sec": round(units / wall, 1),
+            "calibration_ops_per_sec": round(calibration, 1),
             # Informational, never gated: collections per generation.
             "gc_collections": collections,
         })
         print(f"  {name:<22} {units:>8} {unit_kind:<6} {wall * 1e3:8.1f} ms  "
               f"{units / wall:>12,.0f} {unit_kind}/s  "
+              f"cal {calibration:>9,.0f}  "
               f"gc {'/'.join(map(str, collections))}")
     return records
 
@@ -354,6 +376,18 @@ def _atomic_dump_json(report, path):
 # Regression gate
 # ---------------------------------------------------------------------------
 
+def _normalized(bench, report, base, baseline):
+    """``bench``'s throughput over ``base``'s, each divided by its
+    machine's calibration: the rows' own where both carry one, else the
+    two suite-level values."""
+    key = "calibration_ops_per_sec"
+    if key in bench and key in base:
+        cur_cal, base_cal = bench[key], base[key]
+    else:
+        cur_cal, base_cal = report[key], baseline[key]
+    return (bench["per_sec"] / cur_cal) / (base["per_sec"] / base_cal)
+
+
 def check_against(report, baseline_path, max_regression):
     """Exit 1 if any benchmark's normalized throughput dropped too far, if
     a row's ``units`` differ from its baseline row's (the two runs did
@@ -385,8 +419,7 @@ def check_against(report, baseline_path, max_regression):
             continue
         # Normalize both sides by their machine's calibration throughput;
         # the resulting ratio is dimensionless "kernel cost per heap op".
-        normalized = ((bench["per_sec"] / cur_cal)
-                      / (base["per_sec"] / base_cal))
+        normalized = _normalized(bench, report, base, baseline)
         verdict = "ok"
         if normalized < 1.0 - max_regression:
             verdict = "REGRESSION"
@@ -483,8 +516,7 @@ def gate_telemetry(report, baseline_path, max_drift):
     if base is None:
         print("  drift:    baseline has no engine_ic_10k record — skipped")
         return 0
-    normalized = ((off["per_sec"] / report["calibration_ops_per_sec"])
-                  / (base["per_sec"] / baseline["calibration_ops_per_sec"]))
+    normalized = _normalized(off, report, base, baseline)
     drift = 1.0 - normalized
     verdict = "ok" if drift <= max_drift else "FAIL"
     print(f"  drift:    telemetry-off engine_ic_10k {normalized:.3f}x "

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from repro.sim import Environment
 from repro.apps import Application, MultiAppEngine
+from repro.platform import PlatformTree
 from repro.platform.contention import LinkContention
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.platform.graph import generate_platform
@@ -49,6 +50,29 @@ def run_engine_non_ic(num_tasks: int = 2000) -> int:
     """non-IC/FB=2 on the same tree — the growth-free baseline path."""
     return _engine_events(
         ProtocolConfig.non_interruptible(2, buffer_growth=False), num_tasks)
+
+
+def _fork_events(leaves: int, num_tasks: int) -> int:
+    """IC/FB=3 on a one-level fork of ``leaves`` leaves (edge cost 1-5,
+    compute 2000-4000, fixed seed): the shape whose send decisions a
+    per-event scan of the children would make cost O(fan-out)."""
+    rng = random.Random(1)
+    tree = PlatformTree.fork(1000, [(rng.randint(1, 5), rng.randint(2000, 4000))
+                                    for _ in range(leaves)])
+    result = ProtocolEngine(tree, ProtocolConfig.interruptible(3),
+                            num_tasks).run()
+    return result.events_processed
+
+
+def run_engine_fork_wide(num_tasks: int = 20_000) -> int:
+    """IC/FB=3 on a 1,000-leaf fork — the wide star of the send port."""
+    return _fork_events(1000, num_tasks)
+
+
+def run_engine_fork_narrow(num_tasks: int = 20_000) -> int:
+    """The same run on a 10-leaf fork: the denominator of the wide fork's
+    cost per event (the ``fork_wide_cost`` ratio gate in ``perf.py``)."""
+    return _fork_events(10, num_tasks)
 
 
 #: Fixed tree for the long-run (steady-state warp) workloads.  Small

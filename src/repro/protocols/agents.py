@@ -62,17 +62,17 @@ _FINGERPRINT_SCALARS = attrgetter(
 
 
 class Transfer:
-    """One task in flight from ``parent`` to ``child`` (possibly shelved)."""
+    """One task in flight from ``parent`` to ``child`` (possibly shelved).
+
+    Slots: ``child``; ``remaining``, the transfer time (a graph lane: the
+    volume) still owed when not actively being sent; ``started_at``, the
+    virtual time the current (re)transmission leg began; ``timer``, the
+    leg's completion timer.  Built like a calendar timer: a bare
+    ``Transfer()`` (no ``__init__``, so no Python frame) with its slots
+    set in place by :meth:`NodeAgent._start_leg`.
+    """
 
     __slots__ = ("child", "remaining", "started_at", "timer")
-
-    def __init__(self, child: "NodeAgent", remaining):
-        self.child = child
-        #: Transfer time still owed when not actively being sent.
-        self.remaining = remaining
-        #: Virtual time the current (re)transmission leg began.
-        self.started_at = None
-        self.timer = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Transfer to={self.child.id} remaining={self.remaining}>"
@@ -86,8 +86,9 @@ class NodeAgent:
     """
 
     __slots__ = (
-        "engine", "env", "tracer", "prio_key",
+        "engine", "env", "tracer", "prio_key", "prio_bit",
         "id", "w", "c", "parent", "children", "sorted_children",
+        "request_mask", "shelf_mask",
         "is_root", "interruptible", "growth", "max_buffers", "priority_rule",
         "buffers_total", "tasks_held", "requested", "incoming",
         "child_requests", "fifo_queue", "growth_cooldown", "growth_armed",
@@ -117,6 +118,12 @@ class NodeAgent:
         self.parent: Optional[NodeAgent] = None
         self.children: List[NodeAgent] = []
         self.sorted_children: List[NodeAgent] = []
+        # The send port's eligible order (see :meth:`resort_children`):
+        # this node's bit in its parent's masks (0 while it is in no
+        # parent's order), and its own masks over ``sorted_children``.
+        self.prio_bit = 0
+        self.request_mask = 0
+        self.shelf_mask = 0
         self.is_root = is_root
 
         self.interruptible = config.variant is ProtocolVariant.INTERRUPTIBLE
@@ -195,16 +202,34 @@ class NodeAgent:
             self.prio_key = (self.c, self.id)
 
     def resort_children(self) -> None:
-        """Recompute the child priority order (start-up and after mutations)."""
-        self.sorted_children = sorted(self.children, key=_PRIO_KEY)
+        """Recompute the child priority order (start-up and after mutations).
+
+        The order is also the send port's eligible set.  Of ``n``
+        children, the one at rank ``r`` owns bit ``n - 1 - r`` (its
+        ``prio_bit``), and two masks hold the bits of the unsuspected
+        children that have ``requested > 0`` (``request_mask``) and a
+        shelved transfer (``shelf_mask``).  Every change of a child's
+        demand, suspicion or shelf updates them, so the highest candidate
+        bit is the best child: a send decision reads one child, and finds
+        it from the mask's length alone, whatever the fan-out.
+        """
+        order = self.sorted_children = sorted(self.children, key=_PRIO_KEY)
+        suspect = self.suspect
+        shelf = self.shelf
+        requests = shelved = 0
+        bit = 1 << len(order)
+        for child in order:
+            bit >>= 1
+            child.prio_bit = bit
+            if child.id not in suspect:
+                if child.requested > 0:
+                    requests |= bit
+                if child.id in shelf:
+                    shelved |= bit
+        self.request_mask = requests
+        self.shelf_mask = shelved
 
     # ------------------------------------------------------- task sourcing
-    def has_task(self) -> bool:
-        """A task is available for the CPU or the send port."""
-        if self.is_root:
-            return self.undispensed > 0
-        return self.tasks_held > 0
-
     def _take_task(self) -> None:
         """Consume one available task (buffer frees → request + growth rule 1).
 
@@ -231,7 +256,7 @@ class NodeAgent:
         if self.link_down:
             # The request cannot cross a down link; it is re-announced
             # wholesale when the parent re-admits this node after repair.
-            self.deferred_requests += 1
+            self._defer_request()
         else:
             self.parent._on_request(self)
         # Growth rule 1: all buffers just became empty while a child is
@@ -256,9 +281,18 @@ class NodeAgent:
             tracer.record(self.env.now, _trace.GROW, self.id)
         self.requested += 1
         if self.link_down:
-            self.deferred_requests += 1
+            self._defer_request()
         else:
             self.parent._on_request(self)
+
+    def _defer_request(self) -> None:
+        """Hold one new request back while the link to the parent is down.
+        The parent's port still sees this node's demand, and finds the
+        link down when it tries to serve it."""
+        self.deferred_requests += 1
+        parent = self.parent
+        if self.id not in parent.suspect:
+            parent.request_mask |= self.prio_bit
 
     # --------------------------------------------------------------- churn
     def announce_join(self) -> None:
@@ -285,6 +319,7 @@ class NodeAgent:
             if (announced and self.id not in self.parent.suspect
                     and self in self.parent.children):
                 self.parent.child_requests -= announced
+            self.parent.request_mask &= ~self.prio_bit
             self.buffers_total -= self.requested
             self.requested = 0
             self.deferred_requests = 0
@@ -317,10 +352,13 @@ class NodeAgent:
         """
         if self.is_root:
             return
+        parent = self.parent
         self.requested = self.buffers_total
-        self.parent.child_requests += self.buffers_total
-        if self.parent.fifo_queue is not None:
-            self.parent.fifo_queue.extend([self] * self.buffers_total)
+        parent.child_requests += self.buffers_total
+        if self.buffers_total:
+            parent.request_mask |= self.prio_bit
+        if parent.fifo_queue is not None:
+            parent.fifo_queue.extend([self] * self.buffers_total)
 
     def _on_request(self, child: "NodeAgent") -> None:
         """A child announced an empty buffer (synchronous, zero time)."""
@@ -334,10 +372,15 @@ class NodeAgent:
             # wholesale at readmission would double-book the request.
             return
         self.child_requests += 1
+        self.request_mask |= child.prio_bit
         if self.fifo_queue is not None:
             self.fifo_queue.append(child)
         if self.current_transfer is None:
-            self.try_send()
+            # Told, not polled: the port acts only with a task to send or
+            # a shelved transfer to resume (the request is the demand).
+            if self.shelf or (
+                    self.undispensed if self.is_root else self.tasks_held) > 0:
+                self._send_next()
         elif self.interruptible:
             self._maybe_preempt()
 
@@ -370,44 +413,54 @@ class NodeAgent:
 
     # -------------------------------------------------------------- sending
     def _choose_next(self) -> Optional["NodeAgent"]:
-        """Best child to serve now, or None.  Shelved resumes need no task."""
+        """Best child to serve now, or None.  Shelved resumes need no task.
+
+        A peek at the highest candidate bit of the eligible order (see
+        :meth:`resort_children`): the shelved children, plus the
+        requesting ones when a task is available.
+        """
+        task_ready = (
+            self.undispensed if self.is_root else self.tasks_held) > 0
         if self.fifo_queue is not None:
-            if self.fifo_queue and self.has_task():
+            if self.fifo_queue and task_ready:
                 return self.fifo_queue[0]
             return None
-        suspect = self.suspect
-        shelf = self.shelf
-        if shelf:
-            task_ready = self.has_task()
-            for child in self.sorted_children:
-                if child.id in suspect:
-                    continue
-                if child.id in shelf:
-                    return child
-                if task_ready and child.requested > 0:
-                    return child
+        # The highest bit of two masks is the higher of their own: no
+        # union is built.
+        if self.shelf:
+            top = self.shelf_mask.bit_length()
+            if task_ready:
+                requests = self.request_mask.bit_length()
+                if requests > top:
+                    top = requests
+        elif task_ready and self.child_requests:
+            top = self.request_mask.bit_length()
+        else:
             return None
-        if not self.has_task() or self.child_requests == 0:
+        if not top:
             return None
-        for child in self.sorted_children:
-            if child.requested > 0 and child.id not in suspect:
-                return child
-        return None
+        return self.sorted_children[-top]
 
     def try_send(self) -> None:
-        """Start (or resume) the highest-priority eligible transfer."""
-        if self.current_transfer is not None:
-            return
-        # Without a shelf or a FIFO queue, :meth:`_choose_next` finds no
-        # child unless a request is announced and a task is available.
-        if not self.shelf and self.fifo_queue is None and (
-                self.child_requests == 0 or (
+        """Start (or resume) the highest-priority eligible transfer, if the
+        port is free and can act."""
+        # Without a shelf, :meth:`_choose_next` finds no child unless a
+        # request is announced and a task is available.
+        if self.current_transfer is None and (self.shelf or (
+                self.child_requests and (
                     self.undispensed if self.is_root else self.tasks_held)
-                <= 0):
-            return
-        child = self._choose_next()
+                > 0)):
+            self._send_next()
+
+    def _send_next(self, child: Optional["NodeAgent"] = None) -> None:
+        """:meth:`try_send` once its test passed: the port is free and has
+        a shelved transfer, or a request and a task.  The scheduling hot
+        paths make that test themselves and call this directly; a
+        preemption passes the head it has just peeked as ``child``."""
         if child is None:
-            return
+            child = self._choose_next()
+            if child is None:
+                return
         if self.probe_timers is not None:
             # Fault recovery is on: refuse to start a transfer into a dead
             # or unreachable child — a failed send is the local observation
@@ -417,32 +470,41 @@ class NodeAgent:
                 child = self._choose_next()
                 if child is None:
                     return
-        transfer = self.shelf.pop(child.id, None)
         tracer = self.tracer
-        if transfer is None:
-            if self.fifo_queue is not None:
-                self.fifo_queue.popleft()
-            self._take_task()
-            child.requested -= 1
-            self.child_requests -= 1
-            child.incoming += 1
-            transfer = self._new_transfer(child)
-            self.transfers_started += 1
+        if self.shelf_mask & child.prio_bit:
+            self.shelf_mask ^= child.prio_bit
             if tracer is not None:
-                tracer.record(self.env.now, _trace.SEND_START,
+                tracer.record(self.env.now, _trace.SEND_RESUME,
                               self.id, child.id)
-        elif tracer is not None:
-            tracer.record(self.env.now, _trace.SEND_RESUME,
-                          self.id, child.id)
-        self._begin_leg(transfer)
+            self._begin_leg(self.shelf.pop(child.id))
+            return
+        if self.fifo_queue is not None:
+            self.fifo_queue.popleft()
+        self._take_task()
+        child.requested -= 1
+        if not child.requested:
+            self.request_mask ^= child.prio_bit
+        self.child_requests -= 1
+        child.incoming += 1
+        self.transfers_started += 1
+        if tracer is not None:
+            tracer.record(self.env.now, _trace.SEND_START, self.id, child.id)
+        self._start_leg(child)
 
-    def _new_transfer(self, child: "NodeAgent") -> Transfer:
-        """Fresh outgoing transfer; ``remaining`` is the edge's full cost.
-        (Graph agents override: their ``remaining`` is a fluid *volume*.)"""
-        return Transfer(child, child.c)
+    def _start_leg(self, child: "NodeAgent") -> None:
+        """Put a fresh transfer to ``child`` on the port: it owes the
+        edge's full cost.  (Graph agents override: theirs owes a fluid
+        *volume*.)"""
+        env = self.env
+        transfer = Transfer()
+        transfer.child = child
+        transfer.remaining = child.c
+        transfer.started_at = env.now
+        transfer.timer = env.call_in(child.c, self._send_done, transfer)
+        self.current_transfer = transfer
 
     def _begin_leg(self, transfer: Transfer) -> None:
-        """Put ``transfer`` on the port and schedule its completion.
+        """Put ``transfer`` back on the port and schedule its completion.
         (Graph agents override to route through the contention manager.)"""
         env = self.env
         transfer.started_at = env.now
@@ -468,62 +530,90 @@ class NodeAgent:
             self._grow_buffer()
         if self.decay:
             self._decay_tick()
-        child._on_task_arrival()
-        self.try_send()
-
-    def _on_task_arrival(self) -> None:
-        if self.decay:
-            # A streak of arrivals that each find the CPU idle marks a
-            # bandwidth-starved node whose extra buffers (and requests)
-            # buy nothing — the over-requesting of §3.1 case 4.  Nodes
-            # that are merely refilling a stock see back-to-back arrivals
-            # with a busy CPU, which resets the streak.
-            if self.cpu_busy:
-                self.idle_arrival_streak = 0
-            else:
-                self.idle_arrival_streak += 1
-                if (self.idle_arrival_streak >= self.decay_threshold
-                        and self.requested >= 2
-                        and self.buffers_total - self.decay_pending
-                        > self.decay_floor):
-                    self.decay_pending += 1
-                    self.idle_arrival_streak = 0
-        self.try_start_compute()
-        if self.current_transfer is None:
-            self.try_send()
-        elif self.interruptible:
+        # The task arrives: the child's CPU and port react to it.
+        if child.decay:
+            child._arrival_tick()
+        if not child.cpu_busy:
+            child.try_start_compute()
+        if child.current_transfer is None:
+            if child.shelf or (child.child_requests and child.tasks_held > 0):
+                child._send_next()
+        elif child.interruptible:
             # A fresh task may enable serving a child with higher priority
-            # than the transfer currently on the port.
-            self._maybe_preempt()
+            # than the transfer currently on the child's port.
+            child._maybe_preempt()
+        # The arrival cascade may have refilled this port already.
+        if self.current_transfer is None and (self.shelf or (
+                self.child_requests and (
+                    self.undispensed if self.is_root else self.tasks_held)
+                > 0)):
+            self._send_next()
+
+    def _arrival_tick(self) -> None:
+        """Account one task arrival toward shedding useless buffers.
+
+        A streak of arrivals that each find the CPU idle marks a
+        bandwidth-starved node whose extra buffers (and requests) buy
+        nothing — the over-requesting of §3.1 case 4.  Nodes that are
+        merely refilling a stock see back-to-back arrivals with a busy
+        CPU, which resets the streak.
+        """
+        if self.cpu_busy:
+            self.idle_arrival_streak = 0
+        else:
+            self.idle_arrival_streak += 1
+            if (self.idle_arrival_streak >= self.decay_threshold
+                    and self.requested >= 2
+                    and self.buffers_total - self.decay_pending
+                    > self.decay_floor):
+                self.decay_pending += 1
+                self.idle_arrival_streak = 0
 
     # ---------------------------------------------------------- preemption
     def _maybe_preempt(self) -> None:
-        """Interruptible rule: shelve the port's transfer for a better child."""
+        """Interruptible rule: shelve the port's transfer for a better child.
+
+        The one copy of the decision, for tree and graph agents alike; a
+        lane's way of stopping a leg is :meth:`_pause_leg`.
+        """
         current = self.current_transfer
         if current is None:
             return
         best = self._choose_next()
-        if best is None or best is current.child:
+        child = current.child
+        if best is None or best.prio_key >= child.prio_key:
             return
-        if best.prio_key >= current.child.prio_key:
+        updates = self._pause_leg(current)
+        if updates is None:
             return
-        env = self.env
-        elapsed = env.now - current.started_at
-        if elapsed >= current.remaining:
-            # The transfer's completion timer is due this very timestep (it
-            # just has a later calendar sequence number): let it finish.
-            return
-        current.timer.cancel()
-        current.remaining -= elapsed
         current.started_at = None
         current.timer = None
-        self.shelf[current.child.id] = current
+        self.shelf[child.id] = current
+        if child.id not in self.suspect:
+            self.shelf_mask |= child.prio_bit
         self.current_transfer = None
         self.preemptions += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.record(env.now, _trace.PREEMPT, self.id, current.child.id)
-        self.try_send()
+            tracer.record(self.env.now, _trace.PREEMPT, self.id, child.id)
+        if updates:
+            self.engine._apply_rate_updates(updates)
+        # Shelving a worse child left ``best`` the head of the order.
+        self._send_next(best)
+
+    def _pause_leg(self, transfer: Transfer):
+        """Stop ``transfer``'s leg and book in ``remaining`` what it still
+        owes.  Returns the flows whose rate the pause changed (none on a
+        tree), or ``None`` to leave a leg that completes this very instant
+        to finish.  (Graph agents override to pause the flow.)"""
+        elapsed = self.env.now - transfer.started_at
+        if elapsed >= transfer.remaining:
+            # The transfer's completion timer is due this very timestep (it
+            # just has a later calendar sequence number): let it finish.
+            return None
+        transfer.timer.cancel()
+        transfer.remaining -= elapsed
+        return ()
 
     # ------------------------------------------------------------ mutation
     def apply_weight_change(self, attribute: str, value) -> None:
@@ -594,6 +684,10 @@ class NodeAgent:
         if child.id in self.suspect:
             return
         self.suspect.add(child.id)
+        # Out of the eligible order until re-admitted.
+        keep = ~child.prio_bit
+        self.request_mask &= keep
+        self.shelf_mask &= keep
         # The child's announced requests leave the parent's demand counter
         # while suspicion lasts; deferred (unannounced) ones never entered.
         self.child_requests -= child.requested - child.deferred_requests
@@ -633,6 +727,10 @@ class NodeAgent:
             self.children.append(child)
             self.resort_children()
         self.child_requests += child.requested
+        if child.requested > 0:
+            self.request_mask |= child.prio_bit
+        if child.id in self.shelf:
+            self.shelf_mask |= child.prio_bit
         child.deferred_requests = 0
         tracer = self.tracer
         if tracer is not None:
@@ -653,6 +751,7 @@ class NodeAgent:
             timer.cancel()
         if child in self.children:
             self.children.remove(child)
+            child.prio_bit = 0
             self.resort_children()
         extra = 0
         shelved = self.shelf.pop(child.id, None)

@@ -360,6 +360,7 @@ class ProtocolEngine:
         if parent is not None and parent.alive:
             if parent.shelf.pop(victim.id, None) is not None:
                 # The parent's half-sent task dies with the victim.
+                parent.shelf_mask &= ~victim.prio_bit
                 pending += 1
                 self.transfers_wasted += 1
             if victim in parent.children:
@@ -373,6 +374,7 @@ class ProtocolEngine:
             child.incoming -= 1
             child.requested += 1
         victim.shelf.clear()
+        victim.shelf_mask = 0
         pending += victim._crash() + self._pending_lost.pop(victim.id, 0)
         self._pending_lost[victim.id] = pending
         self.crashed_node_ids.append(victim.id)

@@ -12,9 +12,9 @@ halves:
   flows sharing a link split its bandwidth per the run's allocator
   (:class:`~repro.platform.contention.LinkContention`).
 
-:class:`GraphNodeAgent` overrides exactly the three scheduling touch
-points where a tree agent talks to the calendar (start a leg, finish a
-leg, preempt a leg) and routes them through the contention manager; the
+:class:`GraphNodeAgent` overrides exactly the scheduling touch points
+where a tree agent talks to the calendar (start or resume a leg, finish
+a leg, pause a leg) and routes them through the contention manager; the
 manager reports back only the flows whose rate actually changed, and only
 those timers are rescheduled.  On a tree expressed as a graph every link
 carries at most one flow (the single send port serializes a parent's
@@ -90,10 +90,15 @@ class GraphNodeAgent(NodeAgent):
 
     __slots__ = ("route",)
 
-    def _new_transfer(self, child: "GraphNodeAgent") -> Transfer:
+    def _start_leg(self, child: "GraphNodeAgent") -> None:
         # Volume in tasks; the default size 1 (an int) keeps a unit-task
         # run's rates and leg times exact integers wherever possible.
-        return Transfer(child, self.engine.task_size)
+        transfer = Transfer()
+        transfer.child = child
+        transfer.remaining = self.engine.task_size
+        transfer.started_at = None
+        transfer.timer = None
+        self._begin_leg(transfer)
 
     def _begin_leg(self, transfer: Transfer) -> None:
         engine = self.engine
@@ -112,40 +117,20 @@ class GraphNodeAgent(NodeAgent):
             self.engine._apply_rate_updates(updates)
         super()._send_done(transfer)
 
-    def _maybe_preempt(self) -> None:
-        current = self.current_transfer
-        if current is None:
-            return
-        best = self._choose_next()
-        if best is None or best is current.child:
-            return
-        if best.prio_key >= current.child.prio_key:
-            return
-        engine = self.engine
-        env = self.env
-        timer = current.timer
+    def _pause_leg(self, transfer: Transfer):
+        timer = transfer.timer
         if timer is not None:  # a starved flow stalls timer-less
-            if timer.time <= env.now:
+            if timer.time <= self.env.now:
                 # The flow's completion timer is due this very timestep
                 # (it just has a later calendar sequence number): let it
                 # finish.  The timer was set for the instant the flow's
                 # remaining volume reaches 0 at its current rate, so this
                 # is that volume's ``<= 0`` test without recomputing it.
-                return
+                return None
             timer.cancel()
-        remaining, updates = engine.contention.pause(current, env.now)
-        current.remaining = remaining
-        current.started_at = None
-        current.timer = None
-        self.shelf[current.child.id] = current
-        self.current_transfer = None
-        self.preemptions += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(env.now, _trace.PREEMPT, self.id, current.child.id)
-        if updates:
-            engine._apply_rate_updates(updates)
-        self.try_send()
+        transfer.remaining, updates = self.engine.contention.pause(
+            transfer, self.env.now)
+        return updates
 
 
 class GraphFaultDriver:

@@ -34,9 +34,17 @@ _COMPACT_MIN = 1024
 class Timer:
     """A cancellable callback scheduled on the event calendar.
 
-    One heap entry, one attribute check, one call.  Timers are returned by
+    One heap entry, one identity check, one call.  Timers are returned by
     :meth:`Environment.call_in` and :meth:`Environment.call_at` and can be
     revoked with :meth:`cancel` at any point before they fire.
+
+    Four slots: the environment (for the tombstone count), the time, the
+    callback and its arguments.  The sequence number lives only in the
+    calendar slot, and the timer's state is its callback field: the
+    callback while pending, :func:`_fired` once run, :func:`_tombstone`
+    once revoked.  The calendar builds a timer with a bare ``Timer()`` —
+    the class has no ``__init__``, so no Python frame runs — and sets the
+    slots in place.
 
     Cancellation is lazy: the heap entry stays in place, tombstoned, and the
     environment counts outstanding tombstones so it can rebuild the calendar
@@ -44,26 +52,17 @@ class Timer:
     share of their transfer timers).
     """
 
-    __slots__ = ("env", "time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, env: "Environment", time, seq: int,
-                 fn: Callable[..., Any], args: tuple):
-        self.env = env
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    __slots__ = ("env", "time", "fn", "args")
 
     def cancel(self) -> None:
         """Revoke the timer.  Cancelling an already-fired (or already
         cancelled) timer is a no-op."""
-        if self.cancelled or self.fn is _fired:
+        fn = self.fn
+        if fn is _tombstone or fn is _fired:
             return
-        self.cancelled = True
-        # Drop references so cancelled entries sitting in the heap do not pin
-        # arbitrary object graphs alive until they are popped.
-        self.fn = _noop
+        # Drop the arguments so cancelled entries sitting in the heap do not
+        # pin arbitrary object graphs alive until they are popped.
+        self.fn = _tombstone
         self.args = ()
         env = self.env
         env._cancelled += 1
@@ -71,13 +70,20 @@ class Timer:
             env._compact()
 
     @property
+    def cancelled(self) -> bool:
+        """``True`` once :meth:`cancel` revoked the timer before it fired."""
+        return self.fn is _tombstone
+
+    @property
     def active(self) -> bool:
         """``True`` while the timer is still pending (not fired, not cancelled)."""
-        return not self.cancelled and self.fn is not _fired
+        fn = self.fn
+        return fn is not _tombstone and fn is not _fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Timer t={self.time} seq={self.seq} {state}>"
+        state = ("cancelled" if self.fn is _tombstone
+                 else "fired" if self.fn is _fired else "pending")
+        return f"<Timer t={self.time} {state}>"
 
 
 #: Above this magnitude not every integer is a float, so a rounded key
@@ -108,11 +114,11 @@ def _sort_key(time):
     return key if -_FLOAT_EXACT < key < _FLOAT_EXACT else time
 
 
-def _noop(*_args: Any) -> None:
+def _fired(*_args: Any) -> None:  # callback marker of a timer that ran
     return None
 
 
-def _fired(*_args: Any) -> None:  # sentinel assigned after a timer runs
+def _tombstone(*_args: Any) -> None:  # callback marker of a revoked timer
     return None
 
 
@@ -168,7 +174,7 @@ class Environment:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[3].cancelled:
+            if entry[3].fn is _tombstone:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
@@ -192,7 +198,11 @@ class Environment:
             )
         seq = self._seq + 1
         self._seq = seq
-        timer = Timer(self, time, seq, fn, args)
+        timer = Timer()
+        timer.env = self
+        timer.time = time
+        timer.fn = fn
+        timer.args = args
         heappush(self._heap, (time if time.__class__ is int
                               else _sort_key(time), time, seq, timer))
         return timer
@@ -209,7 +219,11 @@ class Environment:
         time = self.now + delay
         seq = self._seq + 1
         self._seq = seq
-        timer = Timer(self, time, seq, fn, args)
+        timer = Timer()
+        timer.env = self
+        timer.time = time
+        timer.fn = fn
+        timer.args = args
         heappush(self._heap, (time if time.__class__ is int
                               else _sort_key(time), time, seq, timer))
         return timer
@@ -230,14 +244,15 @@ class Environment:
         heap = self._heap
         while heap:
             _key, time, _seq, timer = heappop(heap)
-            if timer.cancelled:
+            fn = timer.fn
+            if fn is _tombstone:
                 self._cancelled -= 1
                 continue
             self.now = time
             self.processed_count += 1
             if self.trace_hook is not None:
                 self.trace_hook(time, timer)
-            fn, args = timer.fn, timer.args
+            args = timer.args
             timer.fn = _fired
             timer.args = ()
             fn(*args)
@@ -264,29 +279,35 @@ class Environment:
             # at ``until``, even one scheduled after this point.
             self._seq += 1
             seq = -self._seq
-            stop_timer = Timer(self, until, seq, self._stop_at, ())
+            stop_timer = Timer()
+            stop_timer.env = self
+            stop_timer.time = until
+            stop_timer.fn = self._stop_at
+            stop_timer.args = ()
             heappush(self._heap, (_sort_key(until), until, seq, stop_timer))
 
         # The event loop proper.  This duplicates :meth:`step` deliberately:
-        # inlining the dispatch into one tight loop (with the heap and
-        # ``heappop`` bound to locals) removes two method calls and several
-        # attribute loads per calendar entry, which is where the bulk of the
-        # kernel's per-event cost lives.  Any behavioural change here must be
-        # mirrored in :meth:`step`.
+        # inlining the dispatch into one tight loop (with the heap,
+        # ``heappop`` and the two callback markers bound to locals) removes
+        # two method calls and several attribute loads per calendar entry,
+        # which is where the bulk of the kernel's per-event cost lives.  Any
+        # behavioural change here must be mirrored in :meth:`step`.
         heap = self._heap
         pop = heappop
+        tombstone, fired = _tombstone, _fired
         try:
             while heap:
                 _key, time, _seq, timer = pop(heap)
-                if timer.cancelled:
+                fn = timer.fn
+                if fn is tombstone:
                     self._cancelled -= 1
                     continue
                 self.now = time
                 self.processed_count += 1
                 if self.trace_hook is not None:
                     self.trace_hook(time, timer)
-                fn, args = timer.fn, timer.args
-                timer.fn = _fired
+                args = timer.args
+                timer.fn = fired
                 timer.args = ()
                 fn(*args)
         except _StopRun:
@@ -311,7 +332,7 @@ class Environment:
         heap = self._heap
         # In-place so the list object keeps its identity: the inlined loop in
         # :meth:`run` holds a local reference to it across callbacks.
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [entry for entry in heap if entry[3].fn is not _tombstone]
         heapify(heap)
         self._cancelled = 0
 

@@ -72,7 +72,7 @@ from itertools import chain, islice, repeat
 from operator import eq, index as _as_index
 from typing import Optional, Set, TYPE_CHECKING
 
-from .core import _sort_key
+from .core import _sort_key, _tombstone
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
@@ -464,9 +464,9 @@ class WarpController:
         far = []
         try:
             for _key, time, _seq, timer in sorted(env._heap):
-                if timer.cancelled:
-                    continue
                 fn = timer.fn
+                if fn is _tombstone:
+                    continue
                 owner = getattr(fn, "__self__", None)
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)
@@ -594,7 +594,7 @@ class WarpController:
         live = []
         for entry in env._heap:
             _key, time, seq, timer = entry
-            if timer.cancelled:
+            if timer.fn is _tombstone:
                 continue
             if time - now > FAR_HORIZON:
                 live.append(entry)

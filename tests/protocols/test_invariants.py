@@ -9,9 +9,32 @@ after every processed calendar entry.
 
 import pytest
 
-from repro.platform import figure1_tree, figure2a_tree
+from repro import simulate
+from repro.platform import (ChurnSchedule, JoinEvent, LeaveEvent, Mutation,
+                            MutationSchedule, PlatformTree, figure1_tree,
+                            figure2a_tree)
+from repro.platform.faults import chaos_schedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
+from repro.platform.graph import generate_platform
 from repro.protocols import ProtocolConfig, ProtocolEngine
+from repro.sim import Environment
+
+
+def check_eligible_order(node):
+    """The send port's masks hold exactly the unsuspected requesting and
+    shelved children, at the ranks of the priority order."""
+    requests = shelved = 0
+    order = node.sorted_children
+    for rank, child in enumerate(order):
+        assert child.prio_bit == 1 << (len(order) - 1 - rank)
+        if child.id in node.suspect:
+            continue
+        if child.requested > 0:
+            requests |= child.prio_bit
+        if child.id in node.shelf:
+            shelved |= child.prio_bit
+    assert node.request_mask == requests, f"node {node.id}"
+    assert node.shelf_mask == shelved, f"node {node.id}"
 
 
 class InvariantChecker:
@@ -36,6 +59,7 @@ class InvariantChecker:
                 assert node.current_transfer.remaining > 0
             for child_id in node.shelf:
                 assert node.shelf[child_id].remaining > 0
+            check_eligible_order(node)
         self.checks += 1
 
 
@@ -83,3 +107,72 @@ class TestFinalState:
             assert node.current_transfer is None
             assert not node.shelf
             assert node.undispensed == 0
+
+
+class _OrderChecker:
+    """Checks every alive agent's eligible order before each event of
+    every calendar built while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.engines = []
+        self.checks = 0
+        checker = self
+        init = Environment.__init__
+
+        def watched_init(env, *args, **kwargs):
+            init(env, *args, **kwargs)
+            env.trace_hook = checker
+
+        monkeypatch.setattr(Environment, "__init__", watched_init)
+        build = ProtocolEngine._build_agents
+
+        def watched_build(engine):
+            build(engine)
+            checker.engines.append(engine)
+
+        monkeypatch.setattr(ProtocolEngine, "_build_agents", watched_build)
+
+    def __call__(self, time, timer):
+        for engine in self.engines:
+            for node in engine.nodes:
+                if node.alive:
+                    check_eligible_order(node)
+        self.checks += 1
+
+
+class TestEligibleOrderUnderChange:
+    """Faults, churn, mutations and routed graph faults each move
+    children in and out of the eligible order; it stays exact."""
+
+    @pytest.mark.parametrize("config", [
+        ProtocolConfig.interruptible(3), ProtocolConfig.non_interruptible()],
+        ids=lambda c: c.label)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tree_faults(self, monkeypatch, config, seed):
+        checker = _OrderChecker(monkeypatch)
+        tree = generate_tree(TreeGeneratorParams(min_nodes=8, max_nodes=20,
+                                                 max_comm=10, max_comp=60),
+                             seed=seed)
+        result = simulate(tree, 300, config,
+                          faults=chaos_schedule(tree, seed=seed, events=6))
+        assert checker.checks > 0 and result.reclaim_times
+
+    def test_churn_and_mutations(self, monkeypatch):
+        checker = _OrderChecker(monkeypatch)
+        joiner = PlatformTree([4, 2, 3], [(0, 1, 1), (0, 2, 2)])
+        churn = ChurnSchedule([
+            JoinEvent(at_time=30, parent=1, subtree=joiner, attach_cost=2),
+            LeaveEvent(at_time=90, node=3)])
+        mutations = MutationSchedule([
+            Mutation(node=2, attribute="c", value=9, at_time=50),
+            Mutation(node=4, attribute="c", value=1, at_time=70)])
+        simulate(figure1_tree(), 400, ProtocolConfig.interruptible(3),
+                 churn=churn, mutations=mutations)
+        assert checker.checks > 0
+
+    def test_graph_faults(self, monkeypatch):
+        checker = _OrderChecker(monkeypatch)
+        graph = generate_platform("leafspine", seed=7)
+        simulate(graph, 200, ProtocolConfig.interruptible(3),
+                 faults=chaos_schedule(graph, seed=11, events=6))
+        assert checker.checks > 0

@@ -5,6 +5,8 @@ algorithmic behaviour — event counts and memory shape — that would
 silently blow up ensemble experiments if a change made them quadratic.
 """
 
+import random
+
 import pytest
 
 from repro import simulate
@@ -15,7 +17,8 @@ from repro.platform.faults import (EdgeFailureEvent, EdgeRepairEvent,
 from repro.platform.graph import generate_platform
 from repro.apps import Application, MultiAppEngine
 from repro.platform.contention import LinkContention
-from repro.protocols import ProtocolConfig
+from repro.protocols import ProtocolConfig, ProtocolEngine
+from repro.protocols.agents import NodeAgent
 
 IC3 = ProtocolConfig.interruptible(3)
 
@@ -48,6 +51,61 @@ class TestEventComplexity:
         tree = generate_tree(seed=11)
         result = simulate(tree, 1500, IC3)
         assert result.preemptions < 6 * 1500
+
+
+class _InspectedOrder(list):
+    """A child order that counts the children read out of it, by index or
+    by iteration."""
+
+    def __init__(self, children):
+        super().__init__(children)
+        self.inspected = 0
+
+    def __getitem__(self, index):
+        self.inspected += 1
+        return list.__getitem__(self, index)
+
+    def __iter__(self):
+        for child in list.__iter__(self):
+            self.inspected += 1
+            yield child
+
+
+class TestSendDecisionWork:
+    """A send decision inspects a bounded number of children, counted,
+    not timed: on a fork, the children the root's port reads per decision
+    do not grow when the fan-out grows from 10 to 3,000."""
+
+    @staticmethod
+    def _inspected_per_decision(monkeypatch, leaves, config):
+        rng = random.Random(1)
+        tree = PlatformTree.fork(1000, [(rng.randint(1, 5),
+                                         rng.randint(2000, 4000))
+                                        for _ in range(leaves)])
+        engine = ProtocolEngine(tree, config, max(2000, 2 * leaves))
+        root = engine.nodes[tree.root]
+        order = root.sorted_children = _InspectedOrder(root.sorted_children)
+        decisions = [0]
+        choose_next = NodeAgent._choose_next
+
+        def counted(self):
+            if self is root:
+                decisions[0] += 1
+            return choose_next(self)
+
+        monkeypatch.setattr(NodeAgent, "_choose_next", counted)
+        engine.run()
+        assert decisions[0] > leaves
+        return order.inspected / decisions[0]
+
+    @pytest.mark.parametrize("config", [
+        IC3, ProtocolConfig.non_interruptible(2, buffer_growth=False)],
+        ids=["ic-fb3", "non-ic-ib2"])
+    def test_inspected_children_independent_of_fan_out(self, monkeypatch,
+                                                       config):
+        wide = self._inspected_per_decision(monkeypatch, 3000, config)
+        narrow = self._inspected_per_decision(monkeypatch, 10, config)
+        assert wide <= 3 and narrow <= 3
 
 
 class TestMemoryShape:

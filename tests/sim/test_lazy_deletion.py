@@ -65,6 +65,24 @@ class TestCancelBookkeeping:
         timer.cancel()
         assert not timer.active
 
+    def test_timer_states_and_settled_cancels(self):
+        # The state lives in the callback field: pending, cancelled and
+        # fired each read their own way, and cancelling a settled timer
+        # changes neither it nor the tombstone count.
+        env = Environment()
+        pending = env.call_in(1, lambda: None)
+        cancelled = env.call_in(2, lambda: None)
+        fired = env.call_in(0, lambda: None)
+        cancelled.cancel()
+        env.step()
+        timers = (pending, cancelled, fired)
+        states = [(t.active, t.cancelled) for t in timers]
+        assert states == [(True, False), (False, True), (False, False)]
+        cancelled.cancel()
+        fired.cancel()
+        assert env._cancelled == 1
+        assert [(t.active, t.cancelled) for t in timers] == states
+
 
 class TestCompaction:
     def test_compaction_triggers_and_preserves_survivors(self):
