@@ -15,7 +15,8 @@ from repro.sim import Environment
 from repro.apps import Application, MultiAppEngine
 from repro.platform import PlatformTree
 from repro.platform.contention import LinkContention
-from repro.platform.generator import TreeGeneratorParams, generate_tree
+from repro.platform.generator import (PAPER_DEFAULTS, TreeGeneratorParams,
+                                      generate_tree)
 from repro.platform.graph import generate_platform
 from repro.protocols import ProtocolConfig, ProtocolEngine
 from repro.telemetry import TelemetryConfig
@@ -73,6 +74,32 @@ def run_engine_fork_narrow(num_tasks: int = 20_000) -> int:
     """The same run on a 10-leaf fork: the denominator of the wide fork's
     cost per event (the ``fork_wide_cost`` ratio gate in ``perf.py``)."""
     return _fork_events(10, num_tasks)
+
+
+#: Tasks per run of the paper-tree pair: one ``warp_sweep`` cell of
+#: ``e2ebench``, a run in which the warp's period search never engages.
+_PAPER_RUN_TASKS = 2000
+
+
+def _paper_tasks(config: ProtocolConfig, num_tasks: int) -> int:
+    tree = generate_tree(PAPER_DEFAULTS, seed=3)
+    for _ in range(num_tasks // _PAPER_RUN_TASKS):
+        ProtocolEngine(tree, config, _PAPER_RUN_TASKS).run()
+    return num_tasks
+
+
+def run_engine_paper_ic_fb3(num_tasks: int = 6000) -> int:
+    """IC/FB=3 on the seed-3 paper tree in 2,000-task runs, exact (tasks
+    as units)."""
+    return _paper_tasks(ProtocolConfig.interruptible(3), num_tasks)
+
+
+def run_engine_paper_ic_fb3_warp(num_tasks: int = 6000) -> int:
+    """The same runs with the warp on.  No run recurs, so the pair's
+    per_sec ratio is what the period search costs (the
+    ``warp_search_cost`` ratio gate in ``perf.py``)."""
+    return _paper_tasks(ProtocolConfig.interruptible(3, warp=True),
+                        num_tasks)
 
 
 #: Fixed tree for the long-run (steady-state warp) workloads.  Small

@@ -136,4 +136,6 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
                 f"got {len(tracer)} tracers for {len(lanes)} applications")
         for lane, lane_tracer in zip(lanes, tracer):
             lane.tracer = lane_tracer
-    return engine.run()
+    result = engine.run()
+    engine._release()
+    return result

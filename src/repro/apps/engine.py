@@ -189,6 +189,14 @@ class MultiAppEngine:
             sys.setrecursionlimit(limit)
         return self._collect()
 
+    def _release(self) -> None:
+        """Break the finished run's reference cycles, lane by lane (see
+        :meth:`ProtocolEngine._release`)."""
+        for lane in self.lanes:
+            lane._release()
+        if self.fault_driver is not None:
+            self.fault_driver.lanes = []
+
     # ------------------------------------------------------------- results
     def _collect(self) -> SimulationResult:
         lane_results = [lane._collect() for lane in self.lanes]

@@ -825,6 +825,16 @@ class NodeAgent:
                     and (not child.alive or child.link_down)):
                 self._mark_suspect(child)
 
+    # ------------------------------------------------------------ teardown
+    def _release(self) -> None:
+        """Drop this finished agent's links to its engine, calendar,
+        neighbours and transfers (see :meth:`ProtocolEngine._release`)."""
+        self.engine = self.env = self.tracer = None
+        self.parent = self.current_transfer = self.fifo_queue = None
+        self.cpu_timer = self.sweep_timer = self.probe_timers = None
+        self.children = self.sorted_children = []
+        self.shelf = {}
+
     # -------------------------------------------------------- warp support
     def fingerprint_state(self, now) -> tuple:
         """Canonical view of this agent's *dynamic* state for the

@@ -614,6 +614,21 @@ class ProtocolEngine:
             sys.setrecursionlimit(limit)
         return self._collect()
 
+    def _release(self) -> None:
+        """Break the reference cycles of a finished run.
+
+        Agents and their engine point at each other, so do parents and
+        children, and timers left on the calendar hold agents' bound
+        callbacks.  With those links cut, refcounting frees the run as soon
+        as its last reference goes instead of leaving it to the cyclic
+        collector.  :func:`repro.simulate` calls this once the result is
+        collected; the engine cannot be used afterwards.
+        """
+        self.env._heap.clear()
+        for agent in self.nodes:
+            agent._release()
+        self._warp = self.service_driver = self.probe = None
+
     def replay_timeline(self, name: str, start: int, periods: int,
                         delta) -> None:
         """Repeat the recorded timeline ``name`` from index ``start`` to

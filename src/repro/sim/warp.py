@@ -12,23 +12,38 @@ the run with multiplication.
 How it works
 ------------
 At sampled task completions the :class:`WarpController` takes a
-**canonical fingerprint** of the simulation: the completing node's id,
-every agent's :meth:`~repro.protocols.agents.NodeAgent.fingerprint_state`
-view, and the live calendar timers as ``(time - now, owner, callback,
-canonical args)`` tuples.  Monotone counters (virtual time,
-completed tasks, the root's repository, per-node tallies) are
-deliberately *excluded* — they grow forever and never influence a
-scheduling decision except at the repository-exhaustion boundary, which
-the warp guard keeps out of the skipped span.
+**canonical fingerprint** of the simulation in two stages:
 
-The search pays for itself or backs off.  Each fingerprint charges its
-work — agents visited plus calendar entries canonicalized — and whenever
-the running charge exceeds :data:`COST_ALLOWANCE` plus the events the run
-has dispatched, the sampling stride doubles.  Large trees with no
-recurrence in sight therefore sample ever more sparsely, and the search's
-work stays near the allowance plus the run's own event count.
+1. the **outline**, taken at every sample: the completing node's id, the
+   engine's buffer high-water marks, and the live calendar timers as
+   ``(time - now, owner, callback, canonical args)`` tuples (far timers
+   by a delta-free descriptor, see :data:`FAR_HORIZON`);
+2. the **full state**, taken only when the outline has been seen before:
+   the outline plus every agent's
+   :meth:`~repro.protocols.agents.NodeAgent.fingerprint_state` view (and
+   the open-loop driver's).
 
-When a fingerprint recurs, the deterministic kernel guarantees the run is
+The full state is a superset of the outline, so it can only recur where
+its outline recurred; a sample whose outline is new stops after stage 1
+without visiting an agent.  On the paper trees of the ``warp_sweep``
+benchmark the outline never recurs, so the search there never reads an
+agent.  The
+outline never arms the search by itself: arming and warping compare full
+states.  Monotone counters (virtual time, completed tasks, the root's
+repository, per-node tallies) are deliberately *excluded* from both
+stages — they grow forever and never influence a scheduling decision
+except at the repository-exhaustion boundary, which the warp guard keeps
+out of the skipped span.
+
+The search pays for itself or backs off.  Each sample charges the work a
+full fingerprint would do — agents plus calendar entries — whichever
+stage it stops at, and whenever the running charge exceeds
+:data:`COST_ALLOWANCE` plus the events the run has dispatched, the
+sampling stride doubles.  Large trees with no recurrence in sight
+therefore sample ever more sparsely, on the same completions whether or
+not a sample reaches stage 2.
+
+When a full state recurs, the deterministic kernel guarantees the run is
 exactly periodic from the first occurrence on: the same event sequence
 repeats every ``Δt`` timesteps, completing ``Δtasks`` tasks.  The
 controller then advances ``k`` whole periods *analytically*:
@@ -112,16 +127,19 @@ STAND_DOWN_REASONS = frozenset({
     REASON_OPEN_LOOP,
 })
 
-#: Fingerprints remembered before the search is abandoned.  A run whose
-#: period is not found within this many completions simply stays exact.
+#: Outlines and full states remembered, together, before the search is
+#: abandoned.  A run whose period is not found within this many samples
+#: simply stays exact.
 LEDGER_CAP = 8192
 
-#: Fingerprint work (agents visited plus calendar entries canonicalized)
-#: the search may spend beyond the events the run itself has dispatched
-#: before the sampling stride starts doubling.  Sized so short periods are
-#: found while the stride is still 1: with 4,096 the stride grew too early
-#: and the 1M-arrival periodic service day found a 64-task period instead
-#: of its 4-task one.
+#: Charge (agents plus pending calendar entries, per sample) the search
+#: may run up beyond the events the run itself has dispatched before the
+#: sampling stride starts doubling.  A sample is charged as a full
+#: fingerprint even when it stops at the outline, so the stride doubles on
+#: the same completions either way and the outline's saving is all per
+#: sample.  Sized so short periods are found while the stride is still 1:
+#: with 4,096 the stride grew too early and the 1M-arrival periodic
+#: service day found a 64-task period instead of its 4-task one.
 COST_ALLOWANCE = 16_384
 
 #: Pending timers with more than this much virtual time left are treated as
@@ -160,8 +178,10 @@ class WarpSummary:
     warp_completed: int = 0
     #: Virtual time at the moment the warp engaged (before the shift).
     warp_time: int = 0
-    #: Fingerprints taken before the search ended.
+    #: Fingerprints taken before the search ended (outlines: one a sample).
     fingerprints_taken: int = 0
+    #: Samples whose outline recurred, so the search read the full state.
+    full_fingerprints: int = 0
 
 
 class PeriodicTimeline(Sequence):
@@ -309,27 +329,34 @@ class WarpController:
 
     Constructed by the engine only for quiescent runs (no mutations, churn,
     faults, tracer, or trace hook).  :meth:`on_completion` is the single
-    hook: it fingerprints, looks the fingerprint up in the period ledger,
-    and on a recurrence applies the warp in place, after which the engine
-    resumes exact simulation for the warm-down tail.
+    hook: it fingerprints the outline, reads the full state only when the
+    outline recurs, looks that up in the period ledger, and on a
+    recurrence applies the warp in place, after which the engine resumes
+    exact simulation for the warm-down tail.
     """
 
-    __slots__ = ("engine", "env", "_ledger", "_armed", "_active", "_count",
-                 "_stride", "_taken", "_charged", "summary")
+    __slots__ = ("engine", "env", "_outlines", "_ledger", "_armed",
+                 "_active", "_count", "_stride", "_taken", "_full",
+                 "_charged", "summary")
 
     def __init__(self, engine: "ProtocolEngine"):
         self.engine = engine
         self.env = engine.env
-        #: Hashes of states seen so far.  Membership is all the search
-        #: needs — full state tuples are only kept when a hash recurs
-        #: (arming), so ledger memory is ~tens of bytes per anchor
-        #: regardless of tree size.  A 64-bit hash collision can at worst
-        #: arm spuriously, never mis-warp: the warp itself compares full
-        #: state tuples.
+        #: Hashes of the outlines (stage 1) seen so far.
+        self._outlines: Set[int] = set()
+        #: Hashes of the full states (stage 2) seen so far.  A full state
+        #: is read only once its outline recurred, so a state first seen
+        #: with a new outline enters this ledger at its second sighting
+        #: and arms at its third.  Membership is all the search needs —
+        #: full state tuples are only kept when a hash recurs (arming), so
+        #: ledger memory is ~tens of bytes per anchor regardless of tree
+        #: size.  A 64-bit hash collision can at worst arm spuriously,
+        #: never mis-warp: the warp itself compares full state tuples.
         self._ledger: Set[int] = set()
-        #: ``(hash, state tuple, snapshot)`` once a recurrence was seen: the
-        #: next time this exact state comes round (one whole period later)
-        #: the warp fires with per-period deltas measured from the snapshot.
+        #: ``(outline hash, state tuple, snapshot)`` once a recurrence was
+        #: seen: the next time this exact state comes round (one whole
+        #: period later) the warp fires with per-period deltas measured
+        #: from the snapshot.
         self._armed: Optional[tuple] = None
         self._active = True
         self._count = 0
@@ -345,6 +372,8 @@ class WarpController:
         #: period is a small multiple of the true one.
         self._stride = 1
         self._taken = 0
+        #: Samples that reached stage 2 (the full state).
+        self._full = 0
         #: Fingerprint work charged so far (agents plus calendar entries).
         self._charged = 0
         self.summary: Optional[WarpSummary] = None
@@ -352,13 +381,15 @@ class WarpController:
     # ------------------------------------------------------------ lifecycle
     def _finish(self, applied: bool, reason: str, **counts) -> None:
         self._active = False
+        self._outlines.clear()
         self._ledger.clear()
         self._armed = None
         driver = self.engine.service_driver
         if driver is not None:
             driver.discard_template()
         self.summary = WarpSummary(applied=applied, reason=reason,
-                                   fingerprints_taken=self._taken, **counts)
+                                   fingerprints_taken=self._taken,
+                                   full_fingerprints=self._full, **counts)
 
     def finalize(self) -> WarpSummary:
         """Summary for the result record (called once, at end of run)."""
@@ -394,26 +425,32 @@ class WarpController:
             # its wind-down tail and no recurrence can be exploited.
             self._finish(False, "arrival stream ended before a recurrence")
             return
-        snapshot = self._fingerprint(node.id)
+        snapshot = self._outline(node.id)
         if snapshot is None:
             self._finish(False, "disabled: foreign calendar entries")
             return
-        state, far = snapshot
+        outline, far = snapshot
         self._taken += 1
         env = self.env
         self._charged += len(engine.nodes) + len(env._heap)
-        digest = hash(state)
+        key = hash(outline)
         armed = self._armed
         if armed is not None:
-            if digest == armed[0] and state == armed[1]:
+            if key == armed[0] and self._state(outline) == armed[1]:
                 self._warp(armed[2], root, far)
             return
+        if key not in self._outlines:
+            # A new outline means a new full state: stage 1 ends here.
+            self._remember(self._outlines, key)
+            return
+        state = self._state(outline)
+        digest = hash(state)
         if digest in self._ledger:
-            # Second (apparent) sighting: the run is in its cycle.  Keep
+            # The full state recurred: the run is in its cycle.  Keep
             # this one full state tuple and snapshot and wait for the state
             # to come round once more, measuring exact per-period deltas
             # between two *consecutive* occurrences.
-            self._armed = (digest, state, _Record(
+            self._armed = (key, state, _Record(
                 engine.completed, env.now, root.undispensed,
                 env.processed_count,
                 tuple((a.computed, a.transfers_started, a.preemptions,
@@ -427,22 +464,28 @@ class WarpController:
                 # spans exactly (t_armed, t_fire]).
                 driver.begin_template()
             return
-        if len(self._ledger) >= LEDGER_CAP:
+        self._remember(self._ledger, digest)
+
+    def _remember(self, ledger: Set[int], digest: int) -> None:
+        """Add a sample's hash to ``ledger`` and back the stride off if
+        the search has outrun its allowance; give up at the cap."""
+        if len(self._outlines) + len(self._ledger) >= LEDGER_CAP:
             self._finish(False, "ledger cap reached without a recurrence")
             return
-        self._ledger.add(digest)
-        if self._charged > COST_ALLOWANCE + env.processed_count:
+        ledger.add(digest)
+        if self._charged > COST_ALLOWANCE + self.env.processed_count:
             self._stride *= 2
 
     # ---------------------------------------------------------- fingerprint
-    def _fingerprint(self, anchor_id: int):
-        """``(canonical state tuple, far deltas)`` of the simulation.
+    def _outline(self, anchor_id: int):
+        """``(outline tuple, far deltas)``: stage 1 of the fingerprint.
 
-        Returns ``None`` on foreign calendar entries.  The state tuple is
-        hashable (nested int/str/None tuples only); the caller hashes it
-        for the ledger and keeps the tuple itself only while armed.
+        The outline is the anchor id, the engine's high-water marks, the
+        canonical calendar and the far-timer descriptors.  Returns ``None``
+        on foreign calendar entries.  The tuple is hashable (nested
+        int/str/None tuples only).
 
-        Pending timers beyond :data:`FAR_HORIZON` enter the state by a
+        Pending timers beyond :data:`FAR_HORIZON` enter the outline by a
         delta-free descriptor (their remaining time shrinks monotonically
         and would otherwise block every recurrence); the deltas themselves
         are returned separately, sorted in descriptor order, for the warp's
@@ -451,15 +494,6 @@ class WarpController:
         engine = self.engine
         env = self.env
         now = env.now
-        parts = [anchor_id, engine.buffer_high_water, engine.held_high_water]
-        parts.extend([agent.fingerprint_state(now) for agent in engine.nodes])
-        driver = engine.service_driver
-        if driver is not None:
-            # Open-loop state that must recur for true periodicity: the
-            # repository level (no longer monotone — arrivals refill it),
-            # pending sojourn ages, the next arrival's relative offset and
-            # size, and the admission policy's relative state.
-            parts.append(driver.fingerprint_state(now))
         calendar = []
         far = []
         try:
@@ -470,21 +504,39 @@ class WarpController:
                 owner = getattr(fn, "__self__", None)
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)
+                args = timer.args
                 delta = time - now
                 if delta > FAR_HORIZON:
                     far.append(((owner.id, fn.__name__,
-                                 tuple(_canon_far_arg(a) for a in timer.args)),
+                                 tuple([_canon_far_arg(a) for a in args])),
                                 delta))
                 else:
                     calendar.append(
                         (delta, owner.id, fn.__name__,
-                         tuple(_canon_arg(a, now) for a in timer.args)))
+                         tuple([_canon_arg(a, now) for a in args])
+                         if args else ()))
         except _Foreign:
             return None
         far.sort()
-        parts.append(tuple(calendar))
-        parts.append(tuple(desc for desc, _ in far))
-        return tuple(parts), tuple(delta for _, delta in far)
+        return ((anchor_id, engine.buffer_high_water, engine.held_high_water,
+                 tuple(calendar), tuple(desc for desc, _ in far)),
+                tuple(delta for _, delta in far))
+
+    def _state(self, outline: tuple) -> tuple:
+        """Stage 2 of the fingerprint: the full state whose recurrence
+        arms and fires the warp — the outline, every agent's view and,
+        on open-loop runs, the driver's."""
+        self._full += 1
+        engine = self.engine
+        now = self.env.now
+        driver = engine.service_driver
+        # Open-loop state that must recur for true periodicity: the
+        # repository level (no longer monotone — arrivals refill it),
+        # pending sojourn ages, the next arrival's relative offset and
+        # size, and the admission policy's relative state.
+        return (outline,
+                tuple([agent.fingerprint_state(now) for agent in engine.nodes]),
+                None if driver is None else driver.fingerprint_state(now))
 
     # ----------------------------------------------------------------- warp
     def _warp(self, prev: _Record, root, far) -> None:

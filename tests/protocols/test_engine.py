@@ -1,8 +1,12 @@
 """Engine-level tests: exact timelines, conservation, determinism, results."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import simulate
+from repro.apps import Application, MultiAppEngine
 from repro.errors import ProtocolError
 from repro.platform import PlatformTree, figure1_tree, figure2a_tree, generate_tree
 from repro.platform.generator import TreeGeneratorParams
@@ -176,3 +180,36 @@ class TestUsedSubtree:
     def test_num_used_nodes(self):
         result = simulate(figure1_tree(), 500, IC3)
         assert result.num_used_nodes == len(result.used_node_ids)
+
+
+class TestFinishedEngineRelease:
+    """Once :func:`simulate` returns, refcounting alone frees the engine it
+    built: a finished run is not left as cyclic garbage."""
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Weak references to every engine (and lane) a run builds."""
+        refs = []
+        for cls in (ProtocolEngine, MultiAppEngine):
+            def run(self, _run=cls.run):
+                refs.append(weakref.ref(self))
+                refs.extend(weakref.ref(lane)
+                            for lane in getattr(self, "lanes", ()))
+                return _run(self)
+            monkeypatch.setattr(cls, "run", run)
+        return refs
+
+    @pytest.mark.parametrize("workload, config", [
+        (500, ProtocolConfig.interruptible(3, warp=True)),
+        ([Application(tasks=200), Application(tasks=200)], IC3),
+    ], ids=["tree-warp", "multi-app"])
+    def test_engine_dies_with_collector_off(self, engines, workload,
+                                            config):
+        gc.collect()
+        gc.disable()
+        try:
+            simulate(figure2a_tree(), workload, config)
+            assert engines
+            assert [ref() for ref in engines] == [None] * len(engines)
+        finally:
+            gc.enable()

@@ -178,19 +178,43 @@ class TestSearchCost:
     """The period search is bounded by the run's own work, and bounding it
     moves neither the period found nor the warp applied."""
 
-    @pytest.mark.parametrize("config", FIG4_CONFIGS,
-                             ids=lambda config: config.label)
-    def test_paper_tree_search_stays_cheap(self, config):
+    @pytest.mark.parametrize("config, taken",
+                             zip(FIG4_CONFIGS, (138, 123, 126, 128)),
+                             ids=[config.label for config in FIG4_CONFIGS])
+    def test_paper_tree_search_stays_cheap(self, config, taken):
         # A 2000-task run on a paper tree never recurs; a constant stride
-        # schedule took 1,328-1,486 fingerprints here.
+        # schedule took 1,328-1,486 fingerprints here.  Its calendar never
+        # comes round again either, so every sample stops at its outline;
+        # each is still charged as a full fingerprint, so the same
+        # completions are sampled as when every sample read every agent.
         tree = generate_tree(PAPER_DEFAULTS, seed=3)
         exact = simulate(tree, 2000, config)
         warped = simulate(tree, 2000, replace(config, warp=True))
         assert warped.fingerprint() == exact.fingerprint()
         assert not warped.warp.applied
         assert warped.warp.fingerprints_taken <= 300
+        assert warped.warp.fingerprints_taken == taken
+        assert warped.warp.full_fingerprints == 0
+
+    def test_recurring_outline_alone_never_warps(self):
+        # Here the outline (anchor, high-water marks, calendar) recurs
+        # again and again, but the agents' state does not before the
+        # repository runs out: the search reads full states and stays
+        # exact.
+        tree = generate_tree(TreeGeneratorParams(
+            min_nodes=9, max_nodes=23, max_comm=2, max_comp=8,
+            comp_divisor=1), seed=10_024)
+        config = ProtocolConfig.non_interruptible(3)
+        exact = simulate(tree, 500, config)
+        warped = simulate(tree, 500, replace(config, warp=True))
+        assert warped.fingerprint() == exact.fingerprint()
+        assert warped.warp.full_fingerprints > 0
+        assert not warped.warp.applied
 
     def test_million_task_warp_is_pinned(self):
+        # A full state is read only once its outline recurred, so a state
+        # first seen with a new outline enters the full-state ledger at
+        # its second sighting and arms at its third.
         tree = generate_tree(TreeGeneratorParams(
             min_nodes=60, max_nodes=60, max_comm=8, max_comp=16,
             comp_divisor=16), seed=1)
@@ -198,7 +222,7 @@ class TestSearchCost:
         assert summary.applied
         assert (summary.periods, summary.period_tasks,
                 summary.warp_completed, summary.events_skipped) == (
-                    199995, 5, 14, 2199945)
+                    199994, 5, 17, 2199934)
 
     def test_replayed_timeline_matches_exact(self):
         # The warped result computes the skipped periods' times from one
