@@ -84,10 +84,13 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
         tracer shared by every application.
     record_buffer_timeline / record_completion_times:
         Record the per-completion high-water marks (off by default) and
-        completion times (on).  Turning completion times off keeps an
-        exact run's result O(1) in the task count.  A warped run needs
-        no such switch to bound its memory: it stores each timeline as
-        one period (:class:`~repro.sim.warp.PeriodicTimeline`).
+        completion times (on).  Each timeline is a
+        :class:`~repro.sim.warp.PeriodicTimeline`.  An exact run with
+        integer times records it in an ``array('q')``, ~8 bytes a task,
+        which is what turning completion times off saves; rational times
+        (contended graphs) are kept as Python objects.  A warped run
+        needs no such switch to bound its memory: it stores each
+        timeline's skipped span as one period.
     """
     if not isinstance(config, ProtocolConfig):
         raise ProtocolError(

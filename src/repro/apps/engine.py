@@ -44,7 +44,7 @@ from ..protocols.engine import _MIN_RECURSION_LIMIT
 from ..protocols.graph_engine import GraphFaultDriver, GraphProtocolEngine
 from ..protocols.result import SimulationResult
 from ..sim.core import Environment
-from ..sim.warp import REASON_MULTI_APP, WarpSummary
+from ..sim.warp import REASON_MULTI_APP, PeriodicTimeline, WarpSummary
 from ..steady_state.solver import solve_tree
 from .metrics import steady_window_rate
 from .spec import Application, AppResult, Workload
@@ -247,12 +247,12 @@ class MultiAppEngine:
             tree=self.overlay.tree,
             config=self.config,
             num_tasks=self.num_tasks,
-            completion_times=tuple(merged_completions),
+            completion_times=PeriodicTimeline.exact(merged_completions),
             per_node_computed=_sum_rows(rows[0]),
             per_node_max_buffers=_sum_rows(rows[1]),
             per_node_max_held=_sum_rows(rows[2]),
-            buffer_high_water_at_completion=(),
-            held_high_water_at_completion=(),
+            buffer_high_water_at_completion=PeriodicTimeline.exact(()),
+            held_high_water_at_completion=PeriodicTimeline.exact(()),
             departed_node_ids=(),
             buffers_decayed=sum(r.buffers_decayed for r in lane_results),
             preemptions=sum(r.preemptions for r in lane_results),

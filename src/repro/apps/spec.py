@@ -186,8 +186,9 @@ class AppResult:
     app: Application
     #: Position in the workload's application tuple.
     index: int
-    #: Completion times of this app's tasks (absolute sim time).
-    completion_times: Tuple[int, ...]
+    #: Completion times of this app's tasks (absolute sim time), as the
+    #: lane's :class:`~repro.sim.warp.PeriodicTimeline`.
+    completion_times: Sequence[int]
     #: Tasks of this app computed by each overlay node.
     per_node_computed: Tuple[int, ...]
     #: Absolute sim time of the app's last completion (0 if no tasks).

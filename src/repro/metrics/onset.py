@@ -11,11 +11,11 @@ The threshold window (300 for the paper's 10 000-task runs) scales with the
 application size; :func:`default_threshold` keeps the paper's 300-per-10 000
 proportion for scaled-down runs.
 
-Steady-state warp (:mod:`repro.sim.warp`) keeps the completion times of
-the skipped periods as one period (a ``PeriodicTimeline``) that indexes
-exactly like the exact run's tuple, so onset detection on a warped run
-sees the same sequence — and returns the same window — as on the exact
-run.
+Every run returns its completion times as a ``PeriodicTimeline``, which
+steady-state warp (:mod:`repro.sim.warp`) fills with the skipped periods
+as one period; it iterates exactly like the tuple of its items, so onset
+detection on a warped run sees the same sequence — and returns the same
+window — as on the exact run.
 Runs started with ``record_completion_times=False`` have no completion
 times at all; :func:`detect_onset` then (vacuously) returns ``None``, so
 keep recording on when onsets matter.
@@ -24,6 +24,7 @@ keep recording on when onsets matter.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from ..errors import ReproError
@@ -57,14 +58,23 @@ def detect_onset(completion_times: Sequence[int],
     optimal = Fraction(optimal_rate)
     if optimal <= 0:
         raise ReproError(f"optimal rate must be > 0, got {optimal_rate!r}")
-    n = len(completion_times) // 2
     if threshold_window is None:
         threshold_window = default_threshold(len(completion_times))
+    if threshold_window < 0:
+        raise ReproError(
+            f"threshold window must be >= 0, got {threshold_window}")
     num, den = optimal.numerator, optimal.denominator
 
+    # Window x spans t_x = times[x - 1] to t_2x = times[2x - 1].  Two
+    # iterators walk both ends in one pass, one item at a time, so the
+    # scan costs the same on a tuple and on a PeriodicTimeline, whose
+    # items are cheap to iterate but not to index.
+    t = threshold_window
+    starts = islice(completion_times, t, None)
+    ends = islice(completion_times, 2 * t + 1, None, 2)
     crossings = 0
-    for x in range(threshold_window + 1, n + 1):
-        dt = completion_times[2 * x - 1] - completion_times[x - 1]
+    for x, (t_x, t_2x) in enumerate(zip(starts, ends), t + 1):
+        dt = t_2x - t_x
         # x / dt > num / den  <=>  x * den > num * dt   (dt > 0; dt == 0 is
         # an instantaneous burst, trivially above any finite rate)
         if dt == 0 or x * den > num * dt:

@@ -54,7 +54,7 @@ def window_rates(completion_times: Sequence[int]) -> np.ndarray:
     import numpy as np
 
     # One C pass over any sequence: np.asarray would read a non-tuple
-    # (a warped run's PeriodicTimeline) item by item.
+    # (a run's PeriodicTimeline) item by item.
     times = np.fromiter(completion_times, np.float64, len(completion_times))
     n = num_windows(len(times))
     if n == 0:

@@ -14,7 +14,8 @@ in flight keep their original durations.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence
+from array import array
+from typing import Dict, List, Optional
 
 from ..errors import ProtocolError
 from ..platform.churn import ChurnSchedule, JoinEvent, LeaveEvent
@@ -132,19 +133,21 @@ class ProtocolEngine:
         self.nodes: List[NodeAgent] = []
         self._rebuild_recorder()
         self.completed = 0
-        self.completion_times: List[int] = []
+        #: Per-task timelines hold ints in an ``array('q')``, 8 bytes a
+        #: task, until a value it cannot hold (see :meth:`_record_timeline`).
+        self.completion_times = array("q")
         #: Running fold of the last completion's time — kept even when the
         #: per-task timeline above is not recorded, so aggregate metrics
-        #: (makespan, mean rate) never need the O(num_tasks) list.
+        #: (makespan, mean rate) never need the O(num_tasks) record.
         self.last_completion_time = 0
         self._warp: Optional[WarpController] = None
         self._warp_summary: Optional[WarpSummary] = None
         self.buffer_high_water = config.initial_buffers
         self.held_high_water = 0
-        self.buffer_timeline: List[int] = []
-        self.held_timeline: List[int] = []
+        self.buffer_timeline = array("q")
+        self.held_timeline = array("q")
         #: Timelines the warp replays, by attribute name: ``(head, template,
-        #: periods, Δ)``.  The list under that name then records only the
+        #: periods, Δ)``.  The array under that name then records only the
         #: tail after the warp, and :meth:`_collect` joins the parts into
         #: a :class:`~repro.sim.warp.PeriodicTimeline`.
         self._replayed: Dict[str, tuple] = {}
@@ -224,13 +227,20 @@ class ProtocolEngine:
 
     # ----------------------------------------------------------- callbacks
     def _on_completion(self, node: NodeAgent) -> None:
+        now = self.env.now
         self.completed += 1
-        self.last_completion_time = self.env.now
+        self.last_completion_time = now
         if self.record_completion_times:
-            self.completion_times.append(self.env.now)
+            if type(now) is int:
+                try:
+                    self.completion_times.append(now)
+                except OverflowError:
+                    self._record_timeline("completion_times", now)
+            else:
+                self._record_timeline("completion_times", now)
         if self.record_buffer_timeline:
-            self.buffer_timeline.append(self.buffer_high_water)
-            self.held_timeline.append(self.held_high_water)
+            self._record_timeline("buffer_timeline", self.buffer_high_water)
+            self._record_timeline("held_timeline", self.held_high_water)
         while (self._next_task_mutation < len(self._task_mutations)
                and self._task_mutations[self._next_task_mutation].after_tasks
                <= self.completed):
@@ -241,9 +251,29 @@ class ProtocolEngine:
         # warp's per-period template relies on seeing this completion's
         # latency before it fingerprints the instant.
         if self.service_driver is not None:
-            self.service_driver.on_completion(self.env.now)
+            self.service_driver.on_completion(now)
         if self._warp is not None:
             self._warp.on_completion(node)
+
+    def _record_timeline(self, name: str, value) -> None:
+        """Append ``value`` to the timeline ``name``.
+
+        An ``int`` that fits 64 bits goes into the timeline's
+        ``array('q')``.  The first other value (a ``FastFraction`` time on
+        a contended graph, a float, a bool, a NumPy int, or an int beyond
+        64 bits) moves that timeline to a list for the rest of the run, so
+        every item keeps the type it was recorded with."""
+        timeline = getattr(self, name)
+        if type(timeline) is array and type(value) is int:
+            try:
+                timeline.append(value)
+                return
+            except OverflowError:
+                pass
+        if type(timeline) is not list:
+            timeline = list(timeline)
+            setattr(self, name, timeline)
+        timeline.append(value)
 
     def _note_buffer_high_water(self, buffers: int) -> None:
         if buffers > self.buffer_high_water:
@@ -636,16 +666,17 @@ class ProtocolEngine:
         skipped span); what the run records next is the tail after it."""
         recorded = getattr(self, name)
         self._replayed[name] = (recorded, recorded[start:], periods, delta)
-        setattr(self, name, [])
+        setattr(self, name, array("q"))
 
-    def _timeline(self, name: str) -> Sequence:
-        """The recorded timeline ``name``: a tuple, or a
-        :class:`~repro.sim.warp.PeriodicTimeline` if the warp replayed it."""
-        tail = getattr(self, name)
+    def _timeline(self, name: str) -> PeriodicTimeline:
+        """The recorded timeline ``name`` as a
+        :class:`~repro.sim.warp.PeriodicTimeline`: with zero periods and
+        the record as its head, or the warp's replayed span and the tail."""
+        recorded = getattr(self, name)
         replayed = self._replayed.get(name)
         if replayed is None:
-            return tuple(tail)
-        return PeriodicTimeline(*replayed, tail)
+            return PeriodicTimeline(recorded, (), 0, 0)
+        return PeriodicTimeline(*replayed, recorded)
 
     def _collect(self) -> SimulationResult:
         """Check the conservation invariant and assemble the result."""

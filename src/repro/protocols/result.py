@@ -52,9 +52,11 @@ class SimulationResult:
 
     Completion times are in virtual timesteps and non-decreasing;
     ``completion_times[i]`` is when the ``i+1``-th task finished computing.
-    A run the steady-state warp fast-forwarded returns each timeline as a
-    :class:`~repro.sim.warp.PeriodicTimeline` (one stored period, equal to
-    the exact run's tuple in every respect); other runs return tuples.
+    Every run returns each timeline as a
+    :class:`~repro.sim.warp.PeriodicTimeline`, equal in every respect to
+    the tuple of its items: an exact run's has zero periods and its whole
+    record as the head (an ``array('q')`` when the items are ints), a
+    warped run's stores the skipped span as one period.
     """
 
     #: The platform as it stood at the *end* of the run (mutations applied).
@@ -62,7 +64,7 @@ class SimulationResult:
     config: ProtocolConfig
     num_tasks: int
     #: Time of each task completion (length == num_tasks; empty if not
-    #: recorded).  A tuple, or a ``PeriodicTimeline`` on warped runs.
+    #: recorded), as a ``PeriodicTimeline`` on every run.
     completion_times: Sequence[int]
     #: Tasks computed by each node (length == tree.num_nodes).
     per_node_computed: Tuple[int, ...]
@@ -72,8 +74,8 @@ class SimulationResult:
     #: "buffers used" figure Tables 1 and 2 are read against (the root's
     #: repository is not buffered, so its entry is 0).
     per_node_max_held: Tuple[int, ...]
-    #: Global pool high-water as of each completion (empty if not recorded;
-    #: a ``PeriodicTimeline`` on warped runs, like ``completion_times``).
+    #: Global pool high-water as of each completion (empty if not
+    #: recorded; a ``PeriodicTimeline``, like ``completion_times``).
     buffer_high_water_at_completion: Sequence[int]
     #: Global occupied high-water as of each completion (likewise).
     held_high_water_at_completion: Sequence[int]

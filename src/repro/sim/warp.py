@@ -80,6 +80,7 @@ to plain exact simulation and :class:`WarpSummary.applied` stays False.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify
@@ -189,12 +190,19 @@ class PeriodicTimeline(Sequence):
 
     Its items are ``head``, then ``template[s] + j·delta`` for the periods
     ``j = 1 .. periods``, then ``tail``: the shape of a timeline recorded
-    by a warped run, stored in O(head + period + tail) memory.  It stands in
-    for the tuple the exact run records: ``len``, int and slice indexing (a
-    slice is a tuple), iteration, ``==`` / ``hash`` / ``repr`` equal to the
-    equal tuple's, and a pickle of its parts.  Items have the values and
-    types the exact run records: ``range`` values when ``delta`` and the
-    template are ints, ``t + j * delta`` otherwise.
+    by a warped run, stored in O(head + period + tail) memory.  Every run
+    returns its timelines as this type: an exact run's has zero periods
+    and its whole record as the head.  It stands in for the tuple of its
+    items: ``len``, int and slice indexing (a slice is a tuple),
+    iteration, ``==`` / ``hash`` / ``repr`` equal to the equal tuple's,
+    and a pickle of its parts.  Items have the values and types the run
+    records: ``range`` values when ``delta`` and the template are ints,
+    ``t + j * delta`` otherwise.
+
+    A head or tail given as an ``array`` is kept as it is, not copied:
+    the engine records int timelines in an ``array('q')``, 8 bytes an
+    item, and hands it over when the run ends.  Any other head or tail is
+    copied into a tuple.
     """
 
     __slots__ = ("head", "template", "periods", "delta", "tail", "_span",
@@ -203,15 +211,27 @@ class PeriodicTimeline(Sequence):
     def __init__(self, head, template, periods: int, delta, tail=()):
         if periods < 0:
             raise ValueError(f"periods must be >= 0, got {periods}")
-        self.head = tuple(head)
+        self.head = head if type(head) is array else tuple(head)
         self.template = tuple(template)
         self.periods = periods
         self.delta = delta
-        self.tail = tuple(tail)
+        self.tail = tail if type(tail) is array else tuple(tail)
         self._span = periods * len(self.template)
         self._len = len(self.head) + self._span + len(self.tail)
         self._ints = type(delta) is int and all(
             type(t) is int for t in self.template)
+
+    @classmethod
+    def exact(cls, items) -> "PeriodicTimeline":
+        """The timeline of ``items`` with zero periods: packed into an
+        ``array('q')`` when every item is exactly an ``int`` that fits 64
+        bits, else held as a tuple."""
+        if all(type(t) is int for t in items):
+            try:
+                items = array("q", items)
+            except OverflowError:
+                pass
+        return cls(items, (), 0, 0)
 
     def __len__(self) -> int:
         return self._len
@@ -231,6 +251,8 @@ class PeriodicTimeline(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if len(self.head) == self._len:  # an exact run's: all head
+                return tuple(self.head[index])
             start, stop, step = index.indices(self._len)
             if step > 0:
                 return tuple(islice(self, start, stop, step))

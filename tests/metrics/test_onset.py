@@ -1,8 +1,12 @@
 """Tests for the onset-of-optimal-steady-state detector."""
 
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.metrics import (
@@ -12,6 +16,7 @@ from repro.metrics import (
     detect_onset,
     reached_optimal,
 )
+from repro.sim.warp import PeriodicTimeline
 
 
 def stream(rate_fn, n):
@@ -103,10 +108,63 @@ class TestDetectOnset:
         with pytest.raises(ReproError):
             detect_onset([1, 2], 0)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ReproError):
+            detect_onset([1, 2, 3, 4], 1, threshold_window=-1)
+
     def test_uses_scaled_default_threshold(self):
         times = stream(lambda i: 3 if i % 2 == 0 else 5, 1000)
         explicit = detect_onset(times, Fraction(1, 4), threshold_window=30)
         assert detect_onset(times, Fraction(1, 4)) == explicit
+
+
+def _indexed_onset(times, optimal, threshold):
+    """The reference scan: index both ends of every window."""
+    crossings = 0
+    for x in range(threshold + 1, len(times) // 2 + 1):
+        dt = times[2 * x - 1] - times[x - 1]
+        if dt == 0 or Fraction(x, dt) > optimal:
+            crossings += 1
+            if crossings == 2:
+                return x
+    return None
+
+
+@st.composite
+def onset_cases(draw):
+    """``(timeline, optimal, threshold)``: non-decreasing int times as a
+    tuple, an exact run's packed timeline, or a warped one."""
+    gaps = draw(st.lists(st.integers(0, 6), max_size=80))
+    times = tuple(accumulate(gaps))
+    shape = draw(st.sampled_from(["tuple", "exact", "periodic"]))
+    if shape == "exact":
+        timeline = PeriodicTimeline.exact(times)
+    elif shape == "periodic":
+        template = tuple(accumulate(
+            draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)),
+            initial=times[-1] if times else 0))[1:]
+        span = template[-1] - (times[-1] if times else 0)
+        periods = draw(st.integers(0, 12))
+        tail_start = template[-1] + periods * span
+        tail = tuple(tail_start + t for t in accumulate(
+            draw(st.lists(st.integers(0, 6), max_size=10))))
+        timeline = PeriodicTimeline(array("q", times), template, periods,
+                                    span, tail)
+    else:
+        timeline = times
+    optimal = draw(st.fractions(min_value=Fraction(1, 8), max_value=4,
+                                max_denominator=9))
+    threshold = draw(st.integers(0, len(timeline) // 2 + 2))
+    return timeline, optimal, threshold
+
+
+class TestWalkEqualsIndexing:
+    @settings(max_examples=400, deadline=None)
+    @given(case=onset_cases())
+    def test_onset_matches_the_indexed_scan(self, case):
+        timeline, optimal, threshold = case
+        assert detect_onset(timeline, optimal, threshold) == _indexed_onset(
+            tuple(timeline), optimal, threshold)
 
 
 class TestEndToEnd:

@@ -1,16 +1,26 @@
 """Engine-level tests: exact timelines, conservation, determinism, results."""
 
+import dataclasses
 import gc
+import hashlib
+import pickle
 import weakref
+from array import array
+from fractions import Fraction
 
+import numpy
 import pytest
 
 from repro import simulate
 from repro.apps import Application, MultiAppEngine
 from repro.errors import ProtocolError
-from repro.platform import PlatformTree, figure1_tree, figure2a_tree, generate_tree
+from repro.platform import (PlatformTree, figure1_tree, figure2a_tree,
+                            generate_platform, generate_tree)
 from repro.platform.generator import TreeGeneratorParams
 from repro.protocols import ProtocolConfig, ProtocolEngine
+from repro.protocols.result import update_repr
+from repro.sim.events import FastFraction
+from repro.sim.warp import PeriodicTimeline
 
 IC3 = ProtocolConfig.interruptible(3)
 SLOW = 10**9  # effectively-infinite compute time
@@ -213,3 +223,91 @@ class TestFinishedEngineRelease:
             assert [ref() for ref in engines] == [None] * len(engines)
         finally:
             gc.enable()
+
+
+class TestCompactTimelines:
+    """An exact run records its int timelines in an ``array('q')`` and
+    returns them as a :class:`PeriodicTimeline` with zero periods; any
+    value the array cannot hold moves that timeline to a list."""
+
+    def test_exact_int_run_packs_every_timeline(self):
+        result = simulate(generate_tree(seed=3), 2000, IC3,
+                          record_buffer_timeline=True)
+        for timeline in (result.completion_times,
+                         result.buffer_high_water_at_completion,
+                         result.held_high_water_at_completion):
+            assert type(timeline) is PeriodicTimeline
+            assert type(timeline.head) is array and timeline.periods == 0
+            assert len(timeline) == 2000
+
+    def test_exact_int_run_equals_its_tuple(self):
+        timeline = simulate(generate_tree(seed=3), 2000,
+                            IC3).completion_times
+        expected = tuple(timeline)
+        assert all(type(t) is int for t in expected)
+        assert timeline == expected and expected == timeline
+        assert hash(timeline) == hash(expected)
+        assert repr(timeline) == repr(expected)
+        assert len(timeline) == len(expected) == 2000
+        assert list(timeline) == list(expected)
+        restored = pickle.loads(pickle.dumps(timeline))
+        assert type(restored.head) is array and restored == expected
+        assert len(pickle.dumps(timeline)) < 9 * 2000 + 200
+        ours, theirs = hashlib.sha256(), hashlib.sha256()
+        update_repr(ours, timeline)
+        theirs.update(repr(expected).encode("utf-8"))
+        assert ours.hexdigest() == theirs.hexdigest()
+
+    def test_exact_int_run_indexes_like_its_tuple(self):
+        timeline = simulate(generate_tree(seed=3), 2000,
+                            IC3).completion_times
+        expected = tuple(timeline)
+        for i in (0, 1, 999, 1999, -1, -2, -2000):
+            assert timeline[i] == expected[i] and type(timeline[i]) is int
+        for i in (2000, -2001):
+            with pytest.raises(IndexError):
+                timeline[i]
+        for cut in (slice(None), slice(5, 50, 3), slice(-10, None),
+                    slice(None, None, -7), slice(1500, 10, -3),
+                    slice(3000, 4000)):
+            got = timeline[cut]
+            assert type(got) is tuple and got == expected[cut]
+
+    def test_contended_fractions_fall_back_with_unchanged_fingerprint(self):
+        graph = generate_platform("leafspine", seed=7)
+        result = simulate(graph, 300, IC3)
+        timeline = result.completion_times
+        assert type(timeline.head) is tuple
+        assert any(type(t) is FastFraction for t in timeline)
+        plain = dataclasses.replace(result, completion_times=tuple(timeline))
+        assert result.fingerprint() == plain.fingerprint() == (
+            "658f24b9f8e8da7b5d4ac0c8bf5138746979106890661483ecffaf9407a981bc")
+
+    @pytest.mark.parametrize("value", [
+        2**63, -2**63 - 1, True, 1.5, Fraction(3, 2), FastFraction(7, 2),
+        numpy.int64(5)], ids=repr)
+    def test_value_an_array_cannot_hold_moves_to_a_list(self, value):
+        engine = ProtocolEngine(PlatformTree.single_node(5), IC3, 3,
+                                record_buffer_timeline=True)
+        for now in (1, value, 2):
+            engine.env.now = now
+            engine.buffer_high_water = now
+            engine._on_completion(engine.nodes[0])
+        for name in ("completion_times", "buffer_timeline"):
+            assert type(getattr(engine, name)) is list
+            timeline = engine._timeline(name)
+            assert type(timeline.head) is tuple
+            assert [type(t) for t in timeline] == [int, type(value), int]
+            assert repr(timeline) == repr((1, value, 2))
+        assert type(engine.held_timeline) is array
+        assert type(PeriodicTimeline.exact([1, value]).head) is tuple
+
+    def test_int64_bounds_stay_packed(self):
+        engine = ProtocolEngine(PlatformTree.single_node(5), IC3, 2)
+        for now in (2**63 - 1, -2**63):
+            engine.env.now = now
+            engine._on_completion(engine.nodes[0])
+        timeline = engine._timeline("completion_times")
+        assert type(timeline.head) is array
+        assert timeline == (2**63 - 1, -2**63)
+        assert type(PeriodicTimeline.exact(timeline).head) is array

@@ -5,7 +5,9 @@ algorithmic behaviour — event counts and memory shape — that would
 silently blow up ensemble experiments if a change made them quadratic.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,6 +141,31 @@ class TestMemoryShape:
             assert stored <= (warp.warp_completed + warp.period_tasks
                               + len(timeline.tail))
             assert stored < 1000
+
+    def test_exact_timeline_costs_eight_bytes_a_task(self):
+        """An exact run with int times keeps its completion timeline in an
+        ``array('q')``: recording it retains at most 9 bytes a task (8 and
+        the array's growth slack), where a tuple of ints took ~46."""
+        tasks = 100_000
+        tree = PlatformTree.single_node(3)  # one event a task
+
+        def retained(record: bool) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = simulate(tree, tasks, IC3,
+                                  record_completion_times=record)
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert len(result.completion_times) == (tasks if record else 0)
+            return kept
+
+        simulate(tree, 10, IC3)  # lazy imports land outside the count
+        cost = retained(True) - retained(False)
+        assert 8 * tasks <= cost <= 9 * tasks
 
     def test_ic_shelf_bounded_by_children(self):
         from repro.protocols import ProtocolEngine

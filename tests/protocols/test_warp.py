@@ -27,6 +27,7 @@ from repro.platform.mutation import Mutation, MutationSchedule
 from repro.platform.tree import PlatformTree
 from repro.protocols import ProtocolConfig, Tracer
 from repro.protocols.engine import ProtocolEngine
+from repro.sim import warp as warp_module
 from repro.sim.warp import LEDGER_CAP, FAR_HORIZON, WarpSummary
 
 IC3 = ProtocolConfig.interruptible(3)
@@ -131,6 +132,33 @@ class TestWarpedEqualsExact:
         # The detected period's rate is a real throughput: within the
         # window-measured band of the exact run.
         assert rate > 0
+
+    def test_far_transfer_leg_enters_the_outline(self, monkeypatch):
+        """A transfer leg longer than ``FAR_HORIZON`` is a far timer with
+        an argument, described by ``_canon_far_arg``.
+
+        Under non-IC the root's port is held by the leg to node 2 for the
+        whole run while the root alone keeps computing, so the outline,
+        which leaves the leg's shrinking delta out, recurs at every
+        sample.  The full state never does: the root's own view holds the
+        leg's elapsed time.  The run must stay exact either way.
+        """
+        described = []
+        canon = warp_module._canon_far_arg
+
+        def spy(arg):
+            described.append(arg)
+            return canon(arg)
+
+        monkeypatch.setattr(warp_module, "_canon_far_arg", spy)
+        tree = PlatformTree([3, 2, 1], [(0, 1, 1), (0, 2, 2 * FAR_HORIZON)])
+        config = ProtocolConfig.non_interruptible(1)
+        exact = simulate(tree, 2000, config)
+        warped = simulate(tree, 2000, replace(config, warp=True))
+        assert warped.fingerprint() == exact.fingerprint()
+        assert described and all(arg.child.id == 2 for arg in described)
+        assert warped.warp.full_fingerprints > 0
+        assert not warped.warp.applied
 
 
 class TestGuards:

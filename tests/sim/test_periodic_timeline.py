@@ -1,16 +1,19 @@
 """PeriodicTimeline behaves exactly like the tuple it stands for.
 
-A warped run's ``completion_times`` (and buffer timelines) are a
+Every run's ``completion_times`` (and buffer timelines) are a
 :class:`~repro.sim.warp.PeriodicTimeline`: the records before the warp,
-one template period repeated ``k`` times ``Δ`` apart, and the tail.  Every
-operation a caller may use on the tuple an exact run returns is compared
-here against the materialized tuple, for int, Fraction and zero ``Δ``,
-empty heads and tails, and a single period.  The fingerprint's chunked
-``repr`` feed is checked against the plain one.
+one template period repeated ``k`` times ``Δ`` apart, and the tail (an
+exact run's has zero periods).  Every operation a caller may use on a
+tuple of the items is compared here against the materialized tuple, for
+int, Fraction and zero ``Δ``, empty heads and tails, heads and tails
+packed in an ``array('q')`` as the engine records ints, and a single
+period.  The fingerprint's chunked ``repr`` feed is checked against the
+plain one.
 """
 
 import hashlib
 import pickle
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -28,16 +31,23 @@ deltas = st.one_of(st.integers(1, 10**4), st.just(0),
                                 max_denominator=9))
 
 
+def _part(draw):
+    """A head or tail: a list of values, or ints in an ``array('q')``."""
+    if draw(st.booleans()):
+        return array("q", draw(st.lists(ints, max_size=6)))
+    return draw(st.lists(values, max_size=6))
+
+
 @st.composite
 def timelines(draw):
     """``(timeline, the tuple it materializes to)``."""
     delta = draw(deltas)
     template_values = ints if type(delta) is int and draw(st.booleans()) \
         else values
-    head = draw(st.lists(values, max_size=6))
+    head = _part(draw)
     template = draw(st.lists(template_values, max_size=5))
     periods = draw(st.sampled_from([0, 1, 1, 2, 3, 7]))
-    tail = draw(st.lists(values, max_size=6))
+    tail = _part(draw)
     replay = tuple(t + j * delta
                    for j in range(1, periods + 1) for t in template)
     timeline = PeriodicTimeline(head, template, periods, delta, tail)
@@ -127,6 +137,24 @@ def test_zero_delta_repeats_the_template():
     assert tuple(timeline) == (1, 4, 4, 4, 4, 4, 4)
 
 
+def test_array_parts_are_kept_not_copied():
+    head, tail = array("q", range(10)), array("q", [40, 41])
+    timeline = PeriodicTimeline(head, [20, 21], 2, 5, tail)
+    assert timeline.head is head and timeline.tail is tail
+    assert timeline == tuple(range(10)) + (25, 26, 30, 31, 40, 41)
+    listed = PeriodicTimeline(list(range(3)), (), 0, 0, [7])
+    assert type(listed.head) is tuple and type(listed.tail) is tuple
+
+
+def test_exact_packs_only_exact_ints_that_fit():
+    assert type(PeriodicTimeline.exact(range(5)).head) is array
+    assert type(PeriodicTimeline.exact([]).head) is array
+    for items in ([1, 2**63], [1, True], [1, 2.5], [Fraction(1, 2)]):
+        timeline = PeriodicTimeline.exact(items)
+        assert type(timeline.head) is tuple
+        assert repr(timeline) == repr(tuple(items))
+
+
 def test_rejects_negative_periods():
     with pytest.raises(ValueError):
         PeriodicTimeline((), (1,), -1, 1)
@@ -150,6 +178,8 @@ def _chunked(part):
     PeriodicTimeline((), (Fraction(1, 3),), 3 * _REPR_CHUNK, Fraction(1, 2)),
     (7,), (), ((1, 2), (3,), ()), PeriodicTimeline((), (), 5, 1, (9,)),
     "label", 0, None, Fraction(5, 2),
+    PeriodicTimeline.exact(range(3 * _REPR_CHUNK + 5)),
+    PeriodicTimeline.exact([7]), PeriodicTimeline.exact(()),
 ])
 def test_chunked_fingerprint_feed_equals_repr(part):
     assert _chunked(part) == _plain(part)

@@ -20,7 +20,10 @@ fingerprint of a twin run:
 Two service-mode gates ride along: warp under exactly periodic arrivals
 must reproduce the exact run (latency folds included) while dispatching
 at least ``MIN_WARP_SPEEDUP`` times fewer events, and a 1M-arrival day
-must finish without retaining per-task state.
+must finish without retaining per-task state.  Fingerprints must also
+not depend on ``PYTHONHASHSEED``: a paper tree, a contended leaf-spine, a
+chaos fault run and a diurnal service day fingerprint the same in fresh
+interpreters under two hash seeds.
 
 Regenerate the pins after an intentional behaviour change by running
 this module as a script and pasting its output over ``PINNED``::
@@ -28,10 +31,16 @@ this module as a script and pasting its output over ``PINNED``::
     PYTHONPATH=src python tests/test_equivalence_table.py
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import repro
 from repro import simulate
 from repro.apps import Application, Workload
 from repro.platform import PlatformGraph, figure1_tree, generate_platform
@@ -221,6 +230,50 @@ def test_million_arrival_day_keeps_memory_bounded():
     assert summary.applied
     assert (summary.periods, summary.period_tasks, summary.warp_completed,
             summary.events_skipped) == (209934, 4, 321, 2309274)
+
+
+_HASH_SEED_CELLS = """
+import json
+from repro import simulate
+from repro.apps import Workload
+from repro.platform import generate_platform
+from repro.platform.faults import chaos_schedule
+from repro.platform.generator import generate_tree
+from repro.protocols import ProtocolConfig
+from repro.service import DiurnalArrivals, TokenBucket
+
+ic3 = ProtocolConfig.interruptible(3)
+leafspine = generate_platform("leafspine", seed=7)
+day = Workload(arrivals=DiurnalArrivals(rates=(0.05, 0.6, 0.15),
+                                        phase_len=500, horizon=6000, seed=3),
+               admission=TokenBucket(rate="1/4", burst=64))
+cells = (
+    (generate_tree(seed=3), 2000, {}),
+    (leafspine, 300, {}),
+    (leafspine, 300, dict(faults=chaos_schedule(leafspine, seed=11),
+                          check_invariants=True)),
+    (generate_tree(seed=1), day, {}),
+)
+print(json.dumps([simulate(platform, workload, ic3, **kwargs).fingerprint()
+                  for platform, workload, kwargs in cells]))
+"""
+
+
+def test_fingerprints_do_not_depend_on_the_hash_seed():
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    seen = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_CELLS],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert seen[0] == seen[1]
+    assert len(set(seen[0])) == 4
+    assert seen[0][1] == PINNED["topology/leafspine/ic3"]
 
 
 if __name__ == "__main__":
