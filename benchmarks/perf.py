@@ -28,10 +28,10 @@ a slower CI runner red forever), so every record carries a
 ``calibration_ops_per_sec`` from a fixed pure-``heapq`` loop; ``--check``
 compares *calibration-normalized* throughput, which cancels machine speed
 and isolates genuine kernel regressions.  On a shared host the speed also
-drifts within one ~2-minute suite, so the kernel suite calibrates next to
-each row and records that value in the row; a row is normalized by its own
-calibration when both it and its baseline row have one, and by the suite
-values otherwise (baselines written before rows carried one).
+drifts within one ~2-minute suite, so both suites calibrate next to each
+row and record that value in the row; each side of a comparison is
+normalized by its own row's calibration where the row has one, else by
+its suite's (baselines written before rows carried one).
 """
 
 import argparse
@@ -220,28 +220,40 @@ RATIO_GATES = [
 ]
 
 
-def run_kernel_suite(repeats):
-    records = []
-    for name, fn, arg, unit_kind in KERNEL_WORKLOADS:
+def run_suite(workloads, repeats):
+    """Measure every ``(name, fn, arg, unit_kind)`` row; returns
+    ``(records, skipped)``: the measured rows, and the names of rows that
+    could not run here (``--check`` reports those as skipped, not
+    missing).  ``fn(arg)`` returns the units, ``None`` when the row cannot
+    run, or ``(units, info)`` whose ``info`` fields are recorded but never
+    gated."""
+    records, skipped = [], []
+    for name, fn, arg, unit_kind in workloads:
         # Next to the row, so host-speed drift during the suite is not
         # read as a change of the row's throughput.
         calibration = calibrate()
         units, wall, collections = _measure(fn, arg, repeats)
+        if units is None:
+            print(f"  {name:<22} skipped (test dependencies not installed)")
+            skipped.append(name)
+            continue
+        units, info = units if isinstance(units, tuple) else (units, {})
         records.append({
             "name": name,
             "units": units,
             "unit_kind": unit_kind,
             "wall_s": round(wall, 6),
-            "per_sec": round(units / wall, 1),
+            "per_sec": round(units / wall, 6),
             "calibration_ops_per_sec": round(calibration, 1),
             # Informational, never gated: collections per generation.
             "gc_collections": collections,
+            **info,
         })
-        print(f"  {name:<22} {units:>8} {unit_kind:<6} {wall * 1e3:8.1f} ms  "
-              f"{units / wall:>12,.0f} {unit_kind}/s  "
+        print(f"  {name:<22} {units:>8} {unit_kind:<6} {wall:10.4f} s  "
+              f"{units / wall:>12,.6g} {unit_kind}/s  "
               f"cal {calibration:>9,.0f}  "
               f"gc {'/'.join(map(str, collections))}")
-    return records
+    return records, skipped
 
 
 def measure_paired_gates():
@@ -275,7 +287,7 @@ def measure_paired_gates():
     return ratios
 
 
-def _sweep_fig4():
+def _sweep_fig4(_arg):
     from repro.experiments import ExperimentScale, fig4
     from repro.experiments.fig4 import FIG4_CONFIGS
 
@@ -284,7 +296,7 @@ def _sweep_fig4():
     return scale.trees * scale.tasks * len(FIG4_CONFIGS)
 
 
-def _sweep_fig7():
+def _sweep_fig7(_arg):
     from repro.experiments import ExperimentScale, fig7
 
     # The paper's Figure 7 runs 1000 tasks on the tiny figure-2a tree; that
@@ -295,7 +307,7 @@ def _sweep_fig7():
     return scale.tasks * len(result.scenarios)
 
 
-def _sweep_faults():
+def _sweep_faults(_arg):
     from repro.experiments import ExperimentScale, ablation
 
     scale = ExperimentScale.smoke()
@@ -303,7 +315,7 @@ def _sweep_faults():
     return scale.trees * scale.tasks
 
 
-def _sweep_tier1():
+def _sweep_tier1(_arg):
     """``python -m pytest -x -q`` from the repository root; returns one
     suite run as the unit, with the number of tests passed as an
     informational field (``None`` without the test dependencies)."""
@@ -327,38 +339,13 @@ def _sweep_tier1():
 
 
 SWEEP_WORKLOADS = [
-    # (name, fn, unit_kind); fn returns the units, or ``(units, info)``
-    # whose ``info`` fields are recorded but never gated.
-    ("fig4_smoke", _sweep_fig4, "tasks"),
-    ("fig7_smoke", _sweep_fig7, "tasks"),
-    ("faults_smoke", _sweep_faults, "tasks"),
-    ("tier1", _sweep_tier1, "suite"),
+    # (name, fn, arg, unit_kind), as KERNEL_WORKLOADS; no sweep row reads
+    # its argument.
+    ("fig4_smoke", _sweep_fig4, None, "tasks"),
+    ("fig7_smoke", _sweep_fig7, None, "tasks"),
+    ("faults_smoke", _sweep_faults, None, "tasks"),
+    ("tier1", _sweep_tier1, None, "suite"),
 ]
-
-
-def run_sweep_suite(repeats):
-    """Returns ``(records, skipped)``: the measured rows, and the names of
-    rows that could not run here (``--check`` reports those as skipped,
-    not missing)."""
-    records, skipped = [], []
-    for name, fn, unit_kind in SWEEP_WORKLOADS:
-        units, wall, _gc = _measure(lambda _: fn(), None, repeats)
-        if units is None:
-            print(f"  {name:<22} skipped (test dependencies not installed)")
-            skipped.append(name)
-            continue
-        units, info = units if isinstance(units, tuple) else (units, {})
-        records.append({
-            "name": name,
-            "units": units,
-            "unit_kind": unit_kind,
-            "wall_s": round(wall, 6),
-            "per_sec": round(units / wall, 6),
-            **info,
-        })
-        print(f"  {name:<22} {units:>8} {unit_kind:<6}  {wall:8.2f} s   "
-              f"{units / wall:>12,.6g} {unit_kind}/s")
-    return records, skipped
 
 
 def _atomic_dump_json(report, path):
@@ -392,13 +379,11 @@ def _atomic_dump_json(report, path):
 
 def _normalized(bench, report, base, baseline):
     """``bench``'s throughput over ``base``'s, each divided by its
-    machine's calibration: the rows' own where both carry one, else the
-    two suite-level values."""
+    machine's calibration: its own row's where the row carries one, else
+    its suite's."""
     key = "calibration_ops_per_sec"
-    if key in bench and key in base:
-        cur_cal, base_cal = bench[key], base[key]
-    else:
-        cur_cal, base_cal = report[key], baseline[key]
+    cur_cal = bench.get(key, report[key])
+    base_cal = base.get(key, baseline[key])
     return (bench["per_sec"] / cur_cal) / (base["per_sec"] / base_cal)
 
 
@@ -573,11 +558,11 @@ def main(argv=None):
 
     paired = None
     if args.suite == "kernel":
-        records, skipped = run_kernel_suite(repeats), []
+        records, skipped = run_suite(KERNEL_WORKLOADS, repeats)
         print("interleaved pairs for the paired ratio gates...")
         paired = measure_paired_gates()
     else:
-        records, skipped = run_sweep_suite(repeats)
+        records, skipped = run_suite(SWEEP_WORKLOADS, repeats)
 
     report = {
         "suite": args.suite,

@@ -109,7 +109,7 @@ class NodeAgent:
         self.engine = engine
         # Hot-path caches: one attribute hop instead of two.  ``tracer`` is
         # the engine's *effective* recorder (user tracer and/or telemetry
-        # tap), kept in sync by ``ProtocolEngine._rebuild_recorder``.
+        # tap), fixed for the run by ``ProtocolEngine._resolve_warp``.
         self.env = engine.env
         self.tracer = engine._recorder
         self.id = node_id

@@ -100,9 +100,10 @@ class ProtocolConfig:
     #: advanced analytically instead of event by event.  Results are
     #: provably identical (`SimulationResult.fingerprint()` matches the
     #: exact run); long quiescent runs get dramatically faster.  Warp
-    #: stands down automatically under mutations, churn, faults, or an
-    #: attached tracer, so it is always safe to leave on — it defaults off
-    #: only to keep pre-warp calendars bit-identical for auditing.
+    #: stands down automatically under mutations, churn, faults, or a
+    #: tracer assigned before the run, so it is always safe to leave on —
+    #: it defaults off only to keep pre-warp calendars bit-identical for
+    #: auditing.
     warp: bool = False
     #: Telemetry probes (:mod:`repro.telemetry`): ``None`` (the default)
     #: runs with zero instrumentation; a

@@ -119,10 +119,12 @@ class ProtocolEngine:
             raise ProtocolError("admission= requires arrivals=")
 
         self.env = self._make_env()
-        self._tracer = None
+        #: Optional :class:`repro.protocols.trace.Tracer` recording protocol
+        #: events; assign before calling :meth:`run`.
+        self.tracer = None
         #: Effective trace recorder agents fan protocol events into: the
-        #: user's tracer, the telemetry event tap, a fanout of both, or
-        #: ``None``.  Rebuilt by :meth:`_rebuild_recorder`.
+        #: telemetry event tap, :attr:`tracer`, a fanout of both, or
+        #: ``None``.  Fixed once per run by :meth:`_resolve_warp`.
         self._recorder = None
         #: Live telemetry probe (``None`` unless ``config.telemetry`` set).
         self.probe = None
@@ -131,7 +133,6 @@ class ProtocolEngine:
             from ..telemetry.probes import TelemetryProbe
             self.probe = TelemetryProbe(self, config.telemetry)
         self.nodes: List[NodeAgent] = []
-        self._rebuild_recorder()
         self.completed = 0
         #: Per-task timelines hold ints in an ``array('q')``, 8 bytes a
         #: task, until a value it cannot hold (see :meth:`_record_timeline`).
@@ -173,37 +174,6 @@ class ProtocolEngine:
         """Calendar this engine runs on.  Graph lanes override this so
         several per-application agent sets share one calendar."""
         return Environment()
-
-    # ------------------------------------------------------------- tracing
-    @property
-    def tracer(self):
-        """Optional :class:`repro.protocols.trace.Tracer` recording protocol
-        events; assign before calling :meth:`run`.  Agents cache a direct
-        reference for the hot path, so the setter propagates to all of them
-        (agents built later — e.g. on churn joins — pick it up at
-        construction)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._rebuild_recorder()
-
-    def _rebuild_recorder(self) -> None:
-        """Recompute the effective recorder and push it to every agent."""
-        sinks = []
-        if self.probe is not None and self.probe.tap is not None:
-            sinks.append(self.probe)
-        if self._tracer is not None:
-            sinks.append(self._tracer)
-        if not sinks:
-            self._recorder = None
-        elif len(sinks) == 1:
-            self._recorder = sinks[0]
-        else:
-            self._recorder = _RecorderFanout(sinks)
-        for agent in self.nodes:
-            agent.tracer = self._recorder
 
     # ------------------------------------------------------------ assembly
     def _build_agents(self) -> None:
@@ -513,16 +483,22 @@ class ProtocolEngine:
         self.reclaim_times.append(self.env.now)
         if self._recorder is not None:
             self._recorder.record(self.env.now, _trace.RECLAIM, agent.id, lost)
+        self._refill_root(lost)
+        if self.check_invariants:
+            self._check_conservation()
+
+    def _refill_root(self, tasks: int) -> None:
+        """Credit ``tasks`` to the root's repository and restart
+        dispensing: the one refill entry of reclaimed losses and
+        open-loop arrivals."""
         root = self.nodes[self.tree.root]
-        root.undispensed += lost
+        root.undispensed += tasks
         self.repository_exhausted_at = None
         root.try_start_compute()
         if root.current_transfer is None:
             root.try_send()
         elif root.interruptible:
             root._maybe_preempt()
-        if self.check_invariants:
-            self._check_conservation()
 
     def _check_conservation(self) -> None:
         """Runtime task-conservation invariant: every instance of the bag
@@ -554,9 +530,22 @@ class ProtocolEngine:
 
     # ----------------------------------------------------------------- run
     def _resolve_warp(self) -> None:
-        """Apply the warp guard chain: either build the controller or stand
-        down with one of the shared :data:`~repro.sim.warp.
-        STAND_DOWN_REASONS` constants."""
+        """Fix the run's watchers, then apply the warp guard chain: either
+        build the controller or stand down with one of the shared
+        :data:`~repro.sim.warp.STAND_DOWN_REASONS` constants.
+
+        Every run calls this once, before the first event.  The effective
+        recorder is built here and pushed to every agent's hot-path cache;
+        agents built later (churn joins) take it at construction.
+        """
+        tap = self.probe.tap if self.probe is not None else None
+        sinks = [sink for sink in (tap, self.tracer) if sink is not None]
+        if len(sinks) > 1:
+            self._recorder = _RecorderFanout(sinks)
+        else:
+            self._recorder = sinks[0] if sinks else None
+        for agent in self.nodes:
+            agent.tracer = self._recorder
         if not self.config.warp:
             return
         # The warp is sound only for the quiescent base model: any
@@ -568,7 +557,7 @@ class ProtocolEngine:
         elif self.mutations or self.churn or self.faults:
             self._warp_summary = WarpSummary(
                 applied=False, reason=REASON_DYNAMIC)
-        elif self._recorder is not None or self.env.trace_hook is not None:
+        elif self._recorder is not None:
             self._warp_summary = WarpSummary(
                 applied=False, reason=REASON_TRACING)
         elif self.probe is not None:

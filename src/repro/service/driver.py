@@ -118,18 +118,9 @@ class OpenLoopDriver:
                 pending.extend(repeat(now, grant))
             if len(pending) > self.pending_high_water:
                 self.pending_high_water = len(pending)
-            root = self._root
-            if root.undispensed <= 0:
+            if self._root.undispensed <= 0:
                 self._sat_since = now
-            # Refill the repository and kick dispatch — same sequence
-            # the fault layer uses when reclaiming pending losses.
-            root.undispensed += grant
-            engine.repository_exhausted_at = None
-            root.try_start_compute()
-            if root.current_transfer is None:
-                root.try_send()
-            elif root.interruptible:
-                root._maybe_preempt()
+            engine._refill_root(grant)
         self._schedule_next()
 
     def on_completion(self, now) -> None:

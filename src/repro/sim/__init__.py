@@ -22,5 +22,4 @@ from .._exports import export as _export
 
 __all__ = _export(globals(), {
     ".core": ("Environment", "Infinity", "Timer"),
-    ".monitor": ("monitor",),
 })

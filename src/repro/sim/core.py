@@ -16,7 +16,7 @@ fire first-in first-out and runs with the same seed replay identically.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Union
 
 from ..errors import SimulationError
 from .events import FastFraction
@@ -163,10 +163,8 @@ class Environment:
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0  # tombstoned timers still sitting in the heap
-        #: Number of calendar entries processed so far (monitoring hook).
+        #: Number of calendar entries processed so far.
         self.processed_count = 0
-        #: Optional callable ``(time, timer)`` invoked before each entry runs.
-        self.trace_hook: Optional[Callable[[Any, Timer], None]] = None
 
     # ------------------------------------------------------------------ time
     def peek(self) -> Union[int, float]:
@@ -250,8 +248,6 @@ class Environment:
                 continue
             self.now = time
             self.processed_count += 1
-            if self.trace_hook is not None:
-                self.trace_hook(time, timer)
             args = timer.args
             timer.fn = _fired
             timer.args = ()
@@ -304,8 +300,6 @@ class Environment:
                     continue
                 self.now = time
                 self.processed_count += 1
-                if self.trace_hook is not None:
-                    self.trace_hook(time, timer)
                 args = timer.args
                 timer.fn = fired
                 timer.args = ()

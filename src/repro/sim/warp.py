@@ -72,9 +72,9 @@ exactly).
 When warp is sound
 ------------------
 Only in the quiescent base model.  The engine refuses to construct a
-controller when a mutation, churn, or fault schedule is present, and the
-controller disarms itself if a tracer or kernel trace hook is attached or
-a non-agent calendar entry appears — in all those cases the run degrades
+controller when a mutation, churn, or fault schedule, a tracer or the
+telemetry event tap is present, and the controller disarms itself if a
+non-agent calendar entry appears — in all those cases the run degrades
 to plain exact simulation and :class:`WarpSummary.applied` stays False.
 """
 
@@ -150,7 +150,10 @@ COST_ALLOWANCE = 16_384
 #: fingerprint.  They are instead verified to shrink by exactly Δt between
 #: the two occurrences (proof they are the same untouched timers), left
 #: unshifted by the warp, and the skip is capped to end strictly before the
-#: earliest of them fires.
+#: earliest of them fires.  Their arguments are canonicalized like any
+#: timer's, so a far transfer leg's elapsed time enters the outline: that
+#: state cannot recur while the leg is in flight (its sender's view holds
+#: the elapsed time too), and such samples stop at stage 1.
 FAR_HORIZON = 1_000_000
 
 
@@ -327,30 +330,11 @@ def _canon_arg(arg, now):
     raise _Foreign(arg)
 
 
-def _canon_far_arg(arg):
-    """Canonicalize one *far* timer argument — no time-relative fields.
-
-    A far timer's descriptor must be identical at both occurrences of a
-    period even though virtual time moved, so elapsed-time views (which
-    shrink or grow monotonically) are dropped and only the structural
-    identity of the argument is kept.
-    """
-    if type(arg) is int:
-        return arg
-    child = getattr(arg, "child", None)
-    if child is not None and hasattr(arg, "remaining"):  # Transfer
-        return ("t", child.id, arg.remaining)
-    node_id = getattr(arg, "id", None)
-    if node_id is not None and hasattr(arg, "fingerprint_state"):  # NodeAgent
-        return ("n", node_id)
-    raise _Foreign(arg)
-
-
 class WarpController:
     """Period detector and fast-forwarder for one :class:`ProtocolEngine`.
 
     Constructed by the engine only for quiescent runs (no mutations, churn,
-    faults, tracer, or trace hook).  :meth:`on_completion` is the single
+    faults, or recorder).  :meth:`on_completion` is the single
     hook: it fingerprints the outline, reads the full state only when the
     outline recurs, looks that up in the period ledger, and on a
     recurrence applies the warp in place, after which the engine resumes
@@ -428,11 +412,6 @@ class WarpController:
         if self._count % self._stride:
             return
         engine = self.engine
-        if engine._tracer is not None or self.env.trace_hook is not None:
-            # Tracing observes individual events; skipping any would break
-            # trace identity, so the search stands down for the whole run.
-            self._finish(False, "disabled: tracing active")
-            return
         root = engine.nodes[engine.tree.root]
         driver = engine.service_driver
         if driver is None:
@@ -509,7 +488,8 @@ class WarpController:
 
         Pending timers beyond :data:`FAR_HORIZON` enter the outline by a
         delta-free descriptor (their remaining time shrinks monotonically
-        and would otherwise block every recurrence); the deltas themselves
+        and would otherwise block every recurrence; their arguments are
+        canonicalized as any timer's are); the deltas themselves
         are returned separately, sorted in descriptor order, for the warp's
         same-timer verification and skip cap.
         """
@@ -527,16 +507,13 @@ class WarpController:
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)
                 args = timer.args
+                canon = (tuple([_canon_arg(a, now) for a in args])
+                         if args else ())
                 delta = time - now
                 if delta > FAR_HORIZON:
-                    far.append(((owner.id, fn.__name__,
-                                 tuple([_canon_far_arg(a) for a in args])),
-                                delta))
+                    far.append(((owner.id, fn.__name__, canon), delta))
                 else:
-                    calendar.append(
-                        (delta, owner.id, fn.__name__,
-                         tuple([_canon_arg(a, now) for a in args])
-                         if args else ()))
+                    calendar.append((delta, owner.id, fn.__name__, canon))
         except _Foreign:
             return None
         far.sort()

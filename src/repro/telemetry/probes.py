@@ -26,7 +26,7 @@ through the crash-safe harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..protocols import trace as _trace
 from .config import TelemetryConfig

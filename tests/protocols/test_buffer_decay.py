@@ -51,7 +51,7 @@ class TestDecayBehaviour:
             if not node.is_root:
                 assert node.buffers_total >= 1
 
-    def test_ledger_invariant_with_decay(self):
+    def test_ledger_invariant_with_decay(self, watch_calendar):
         engine = ProtocolEngine(figure2a_tree(), DECAYING, 500)
 
         def check(time, item):
@@ -60,7 +60,7 @@ class TestDecayBehaviour:
                     assert node.buffers_total == (
                         node.tasks_held + node.requested + node.incoming)
 
-        engine.env.trace_hook = check
+        watch_calendar(engine.env, check)
         engine.run()
 
     def test_rate_preserved_under_decay(self):

@@ -204,7 +204,7 @@ class TestChurnStorm:
         assert sum(result.per_node_computed) == 2000
         assert set(result.departed_node_ids) == {2, 3, 4, 8, 10}
 
-    def test_invariants_hold_under_churn(self):
+    def test_invariants_hold_under_churn(self, watch_calendar):
         events = [
             JoinEvent(at_time=50, parent=0, subtree=fast_worker(2),
                       attach_cost=1),
@@ -223,6 +223,6 @@ class TestChurnStorm:
                 assert node.child_requests == sum(
                     ch.requested for ch in node.children)
 
-        engine.env.trace_hook = check
+        watch_calendar(engine.env, check)
         result = engine.run()
         assert sum(result.per_node_computed) == 1200

@@ -3,8 +3,8 @@
 The buffer ledger of §3 must balance at all times:
 ``buffers_total == tasks_held + requested + incoming`` for every non-root
 node, and a parent's aggregate request counter must equal the sum of its
-children's outstanding requests.  We attach a kernel trace hook and verify
-after every processed calendar entry.
+children's outstanding requests.  The ``watch_calendar`` fixture verifies
+it before every processed calendar entry.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.platform.faults import chaos_schedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.platform.graph import generate_platform
 from repro.protocols import ProtocolConfig, ProtocolEngine
-from repro.sim import Environment
 
 
 def check_eligible_order(node):
@@ -63,10 +62,10 @@ class InvariantChecker:
         self.checks += 1
 
 
-def run_checked(tree, config, num_tasks):
+def run_checked(watch_calendar, tree, config, num_tasks):
     engine = ProtocolEngine(tree, config, num_tasks)
     checker = InvariantChecker(engine)
-    engine.env.trace_hook = checker
+    watch_calendar(engine.env, checker)
     result = engine.run()
     assert checker.checks > 0
     return result
@@ -82,17 +81,18 @@ CONFIGS = [
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.label)
 class TestInvariants:
-    def test_figure1(self, config):
-        run_checked(figure1_tree(), config, 300)
+    def test_figure1(self, watch_calendar, config):
+        run_checked(watch_calendar, figure1_tree(), config, 300)
 
-    def test_figure2a(self, config):
-        run_checked(figure2a_tree(parent_w=20), config, 300)
+    def test_figure2a(self, watch_calendar, config):
+        run_checked(watch_calendar, figure2a_tree(parent_w=20), config, 300)
 
-    def test_random_trees(self, config):
+    def test_random_trees(self, watch_calendar, config):
         params = TreeGeneratorParams(min_nodes=5, max_nodes=30,
                                      max_comm=10, max_comp=50)
         for seed in (1, 2, 3):
-            run_checked(generate_tree(params, seed=seed), config, 150)
+            run_checked(watch_calendar, generate_tree(params, seed=seed),
+                        config, 150)
 
 
 class TestFinalState:
@@ -111,24 +111,18 @@ class TestFinalState:
 
 class _OrderChecker:
     """Checks every alive agent's eligible order before each event of
-    every calendar built while it is installed."""
+    the calendar of every engine built while it is installed."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, watch_calendar):
         self.engines = []
         self.checks = 0
         checker = self
-        init = Environment.__init__
-
-        def watched_init(env, *args, **kwargs):
-            init(env, *args, **kwargs)
-            env.trace_hook = checker
-
-        monkeypatch.setattr(Environment, "__init__", watched_init)
         build = ProtocolEngine._build_agents
 
         def watched_build(engine):
             build(engine)
             checker.engines.append(engine)
+            watch_calendar(engine.env, checker)
 
         monkeypatch.setattr(ProtocolEngine, "_build_agents", watched_build)
 
@@ -148,8 +142,8 @@ class TestEligibleOrderUnderChange:
         ProtocolConfig.interruptible(3), ProtocolConfig.non_interruptible()],
         ids=lambda c: c.label)
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_tree_faults(self, monkeypatch, config, seed):
-        checker = _OrderChecker(monkeypatch)
+    def test_tree_faults(self, monkeypatch, watch_calendar, config, seed):
+        checker = _OrderChecker(monkeypatch, watch_calendar)
         tree = generate_tree(TreeGeneratorParams(min_nodes=8, max_nodes=20,
                                                  max_comm=10, max_comp=60),
                              seed=seed)
@@ -157,8 +151,8 @@ class TestEligibleOrderUnderChange:
                           faults=chaos_schedule(tree, seed=seed, events=6))
         assert checker.checks > 0 and result.reclaim_times
 
-    def test_churn_and_mutations(self, monkeypatch):
-        checker = _OrderChecker(monkeypatch)
+    def test_churn_and_mutations(self, monkeypatch, watch_calendar):
+        checker = _OrderChecker(monkeypatch, watch_calendar)
         joiner = PlatformTree([4, 2, 3], [(0, 1, 1), (0, 2, 2)])
         churn = ChurnSchedule([
             JoinEvent(at_time=30, parent=1, subtree=joiner, attach_cost=2),
@@ -170,8 +164,8 @@ class TestEligibleOrderUnderChange:
                  churn=churn, mutations=mutations)
         assert checker.checks > 0
 
-    def test_graph_faults(self, monkeypatch):
-        checker = _OrderChecker(monkeypatch)
+    def test_graph_faults(self, monkeypatch, watch_calendar):
+        checker = _OrderChecker(monkeypatch, watch_calendar)
         graph = generate_platform("leafspine", seed=7)
         simulate(graph, 200, ProtocolConfig.interruptible(3),
                  faults=chaos_schedule(graph, seed=11, events=6))

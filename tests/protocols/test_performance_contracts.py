@@ -167,7 +167,7 @@ class TestMemoryShape:
         cost = retained(True) - retained(False)
         assert 8 * tasks <= cost <= 9 * tasks
 
-    def test_ic_shelf_bounded_by_children(self):
+    def test_ic_shelf_bounded_by_children(self, watch_calendar):
         from repro.protocols import ProtocolEngine
 
         tree = generate_tree(seed=7)
@@ -180,7 +180,7 @@ class TestMemoryShape:
                     max_shelf[0] = len(node.shelf)
                 assert len(node.shelf) <= len(node.children)
 
-        engine.env.trace_hook = watch
+        watch_calendar(engine.env, watch)
         engine.run()
         assert max_shelf[0] >= 1  # shelving actually happened
 

@@ -25,7 +25,7 @@ NUM_TASKS = 1500
 
 
 @pytest.fixture(scope="module")
-def soak_engine():
+def soak_engine(watch_calendar):
     tree = generate_tree(
         TreeGeneratorParams(min_nodes=60, max_nodes=120), seed=21)
     root_children = tree.children[tree.root]
@@ -62,7 +62,7 @@ def soak_engine():
             assert node.child_requests == sum(
                 ch.requested for ch in node.children)
 
-    engine.env.trace_hook = invariant
+    watch_calendar(engine.env, invariant)
     result = engine.run()
     return engine, tracer, result
 

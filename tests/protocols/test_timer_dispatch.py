@@ -3,7 +3,7 @@
 Every engine, the routed fault driver, the open-loop driver and the
 telemetry sampler schedule through ``Environment.call_in``/``call_at``,
 the kernel's one scheduling API.  Each case below watches every
-dispatched entry through ``env.trace_hook``.
+dispatched entry through the ``watch_calendar`` fixture.
 """
 
 import dataclasses
@@ -66,11 +66,11 @@ def open_loop_telemetry():
 @pytest.mark.parametrize("build", [tree_crash, graph_link_faults, multi_app,
                                    open_loop_telemetry],
                          ids=lambda build: build.__name__)
-def test_every_dispatched_entry_is_a_timer(build):
+def test_every_dispatched_entry_is_a_timer(watch_calendar, build):
     engine, exercised = build()
     dispatched = []
-    engine.env.trace_hook = lambda _time, item: dispatched.append(
-        item.__class__)
+    watch_calendar(engine.env, lambda _time, item: dispatched.append(
+        item.__class__))
     result = engine.run()
     assert exercised(result)  # the case ran the path it names
     assert set(dispatched) == {Timer}

@@ -54,34 +54,41 @@ class TestFullTraceIdentity:
 class TestCalendarIdentity:
     """Kernel-level replay: every processed entry at the same virtual time."""
 
-    def _calendar(self, config):
+    def _calendar(self, watch_calendar, config):
         tree = generate_tree(PAPER_DEFAULTS, seed=11)
         engine = ProtocolEngine(tree, config, 400)
         stamps = []
-        engine.env.trace_hook = lambda time, item: stamps.append(
-            (time, item.__class__.__name__))
+        watch_calendar(engine.env, lambda time, item: stamps.append(
+            (time, item.__class__.__name__)))
         engine.run()
         return stamps
 
-    def test_ic_calendar_replays(self):
-        assert self._calendar(IC3) == self._calendar(IC3)
+    def test_ic_calendar_replays(self, watch_calendar):
+        assert (self._calendar(watch_calendar, IC3)
+                == self._calendar(watch_calendar, IC3))
 
-    def test_non_ic_calendar_replays(self):
-        assert self._calendar(NON_IC) == self._calendar(NON_IC)
+    def test_non_ic_calendar_replays(self, watch_calendar):
+        assert (self._calendar(watch_calendar, NON_IC)
+                == self._calendar(watch_calendar, NON_IC))
 
 
 class TestTracerPropagation:
-    """engine.tracer is a property that must reach every agent's cache."""
+    """The engine.tracer assigned before run() reaches every agent's
+    cache when the run starts."""
 
     def test_setter_reaches_all_agents(self):
         engine = ProtocolEngine(figure2a_tree(), IC3, 10)
-        assert all(agent.tracer is None for agent in engine.nodes)
         tracer = Tracer()
         engine.tracer = tracer
-        assert engine.tracer is tracer
+        engine.run()
         assert all(agent.tracer is tracer for agent in engine.nodes)
-        engine.tracer = None
-        assert all(agent.tracer is None for agent in engine.nodes)
+        assert tracer.events
+
+        untraced = ProtocolEngine(figure2a_tree(), IC3, 10)
+        untraced.tracer = tracer
+        untraced.tracer = None
+        untraced.run()
+        assert all(agent.tracer is None for agent in untraced.nodes)
 
     def test_join_agents_inherit_tracer(self):
         from repro.platform import ChurnSchedule, JoinEvent, PlatformTree

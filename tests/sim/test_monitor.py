@@ -1,14 +1,33 @@
-"""Tests for kernel instrumentation hooks."""
+"""A census of a run's calendar entries by callback.
+
+The ``watch_calendar`` fixture calls a hook on every live entry before it
+runs; these tests key each entry by its callback's ``__qualname__``
+(``NodeAgent._liveness_sweep``), falling back to the callback's type name
+for callables without one.
+"""
 
 import functools
-
-import pytest
+from collections import Counter
 
 from repro.platform import CrashEvent, FaultSchedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.protocols import ProtocolConfig, ProtocolEngine
 from repro.sim import Environment
-from repro.sim.monitor import KindCounter, TraceRecorder, attach, detach
+
+
+def _kind(timer):
+    fn = timer.fn
+    return getattr(fn, "__qualname__", None) or type(fn).__name__
+
+
+def _census(watch_calendar, env):
+    counts = Counter()
+
+    def count(_time, timer):
+        counts[_kind(timer)] += 1
+
+    watch_calendar(env, count)
+    return counts
 
 
 class _Probe:
@@ -20,89 +39,45 @@ class _Probe:
 
 
 class TestTraceRecorder:
-    def test_records_time_and_kind(self):
+    def test_records_time_and_kind(self, watch_calendar):
         env = Environment()
-        rec = TraceRecorder()
-        attach(env, rec)
+        records = []
+        watch_calendar(env, lambda time, timer: records.append(
+            (time, _kind(timer))))
         out = []
         env.call_in(2, _Probe().ping)
         env.call_in(5, out.append, 1)
         env.call_in(7, functools.partial(out.append, 2))
         env.run()
-        assert [t for t, _ in rec.records] == [2, 5, 7]
+        assert [t for t, _ in records] == [2, 5, 7]
         # Keyed by the callback's qualified name, else its type name.
-        assert [k for _, k in rec.records] == [
+        assert [k for _, k in records] == [
             "_Probe.ping", "list.append", "partial"]
-
-    def test_limit_drops_oldest(self):
-        env = Environment()
-        rec = TraceRecorder(limit=3)
-        attach(env, rec)
-        for i in range(5):
-            env.call_in(i + 1, lambda: None)
-        env.run()
-        assert len(rec) == 3
-        assert rec.dropped == 2
-        assert rec.records[0][0] == 3
-
-    def test_unlimited(self):
-        env = Environment()
-        rec = TraceRecorder(limit=None)
-        attach(env, rec)
-        for i in range(10):
-            env.call_in(1, lambda: None)
-        env.run()
-        assert len(rec) == 10 and rec.dropped == 0
 
 
 class TestKindCounter:
-    def test_counts_by_class(self):
+    def test_counts_by_class(self, watch_calendar):
         env = Environment()
-        counter = KindCounter()
-        attach(env, counter)
+        counts = _census(watch_calendar, env)
         probe = _Probe()
         env.call_in(1, probe.ping)
         env.call_in(1, probe.pong)
+        env.call_in(1, probe.pong).cancel()  # never dispatched
         env.call_in(2, probe.ping)
-        env.run(until=3)
-        assert counter.counts["_Probe.ping"] == 2
-        assert counter.counts["_Probe.pong"] == 1
-        # run(until=t) dispatches its stop entry like any timer.
-        assert counter.counts["Environment._stop_at"] == 1
-        assert counter.total() == 4
+        env.run()
+        assert counts["_Probe.ping"] == 2
+        assert counts["_Probe.pong"] == 1
+        assert sum(counts.values()) == env.processed_count == 3
 
-
-    def test_crash_run_names_its_callbacks(self):
+    def test_crash_run_names_its_callbacks(self, watch_calendar):
         tree = generate_tree(TreeGeneratorParams(min_nodes=20, max_nodes=20),
                              seed=7)
         faults = FaultSchedule([CrashEvent(at_time=200, node=3)])
         engine = ProtocolEngine(tree, ProtocolConfig.interruptible(3), 300,
                                 faults=faults)
-        counter = KindCounter()
-        attach(engine.env, counter)
+        counts = _census(watch_calendar, engine.env)
         result = engine.run()
-        assert counter.total() == result.events_processed
-        assert counter.counts["ProtocolEngine._apply_crash"] == 1
-        assert counter.counts["NodeAgent._liveness_sweep"] >= 1
-        assert counter.counts["NodeAgent._cpu_done"] == 300
-
-
-class TestAttachDetach:
-    def test_attach_conflict_raises(self):
-        env = Environment()
-        attach(env, KindCounter())
-        with pytest.raises(ValueError):
-            attach(env, KindCounter())
-
-    def test_attach_same_hook_twice_ok(self):
-        env = Environment()
-        hook = KindCounter()
-        attach(env, hook)
-        attach(env, hook)
-
-    def test_detach(self):
-        env = Environment()
-        attach(env, KindCounter())
-        detach(env)
-        assert env.trace_hook is None
-        attach(env, KindCounter())  # free slot again
+        assert sum(counts.values()) == result.events_processed
+        assert counts["ProtocolEngine._apply_crash"] == 1
+        assert counts["NodeAgent._liveness_sweep"] >= 1
+        assert counts["NodeAgent._cpu_done"] == 300
