@@ -29,9 +29,11 @@ a slower CI runner red forever), so every record carries a
 compares *calibration-normalized* throughput, which cancels machine speed
 and isolates genuine kernel regressions.  On a shared host the speed also
 drifts within one ~2-minute suite, so both suites calibrate next to each
-row and record that value in the row; each side of a comparison is
-normalized by its own row's calibration where the row has one, else by
-its suite's (baselines written before rows carried one).
+row and record that value in the row.  Both sides of a comparison are
+normalized alike: by their own rows' calibrations when both rows carry
+one, else each by its suite's, which for a suite whose rows carry one is
+the median of those (baselines written before rows carried one have only
+the suite's single loop).
 """
 
 import argparse
@@ -377,13 +379,27 @@ def _atomic_dump_json(report, path):
 # Regression gate
 # ---------------------------------------------------------------------------
 
+_CAL = "calibration_ops_per_sec"
+
+
+def _suite_calibration(report):
+    """A suite's machine speed: the median of its rows' calibrations where
+    its rows carry them (each taken next to its row, so the median follows
+    the host's drift over the whole suite), else the suite's one loop."""
+    rows = [b[_CAL] for b in report["benchmarks"] if _CAL in b]
+    return statistics.median(rows) if rows else report[_CAL]
+
+
 def _normalized(bench, report, base, baseline):
     """``bench``'s throughput over ``base``'s, each divided by its
-    machine's calibration: its own row's where the row carries one, else
-    its suite's."""
-    key = "calibration_ops_per_sec"
-    cur_cal = bench.get(key, report[key])
-    base_cal = base.get(key, baseline[key])
+    machine's calibration.  Both sides are divided alike: by their own
+    rows' calibrations when both rows carry one, else each by its suite's
+    (:func:`_suite_calibration`)."""
+    if _CAL in bench and _CAL in base:
+        cur_cal, base_cal = bench[_CAL], base[_CAL]
+    else:
+        cur_cal = _suite_calibration(report)
+        base_cal = _suite_calibration(baseline)
     return (bench["per_sec"] / cur_cal) / (base["per_sec"] / base_cal)
 
 
@@ -395,10 +411,8 @@ def check_against(report, baseline_path, max_regression):
     skipped): a benchmark must not leave the gate unnoticed."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    base_cal = baseline["calibration_ops_per_sec"]
-    cur_cal = report["calibration_ops_per_sec"]
     base_by_name = {b["name"]: b for b in baseline["benchmarks"]}
-    speed_ratio = cur_cal / base_cal
+    speed_ratio = _suite_calibration(report) / _suite_calibration(baseline)
     print(f"\ncheck vs {baseline_path}  "
           f"(machine speed ratio {speed_ratio:.2f}x, "
           f"gate: -{max_regression:.0%} normalized)")

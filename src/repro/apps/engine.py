@@ -261,8 +261,7 @@ class MultiAppEngine:
             repository_exhausted_at=(max(exhausted)
                                      if all(t is not None for t in exhausted)
                                      else None),
-            last_completion_time=max(
-                (r.last_completion_time for r in lane_results), default=0),
+            last_completion_time=last_completion,
             warp=warp,
             telemetry=None,
             service=merged_service,

@@ -26,13 +26,13 @@ seed already journaled.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import pickle
 import tempfile
 from typing import Any, Dict, IO, Optional, Tuple
 
+from .._digest import sha256
 from ..errors import ExperimentError
 
 __all__ = ["CheckpointStore", "SeedJournal", "config_digest",
@@ -53,7 +53,7 @@ def config_digest(*parts: Any) -> str:
     pre-service-mode journals keep their digests.
     """
     blob = "\x1f".join(repr(part) for part in parts)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -86,12 +86,12 @@ def _payload_encode(value: Any) -> Tuple[str, str]:
     """Pickle → (base64 text, sha256 of the pickle)."""
     blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     return (base64.b64encode(blob).decode("ascii"),
-            hashlib.sha256(blob).hexdigest())
+            sha256(blob).hexdigest())
 
 
 def _payload_decode(text: str, expected_sha: str) -> Any:
     blob = base64.b64decode(text.encode("ascii"))
-    if hashlib.sha256(blob).hexdigest() != expected_sha:
+    if sha256(blob).hexdigest() != expected_sha:
         raise ValueError("payload digest mismatch")
     return pickle.loads(blob)
 

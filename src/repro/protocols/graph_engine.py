@@ -37,7 +37,7 @@ steady-state warp stands down.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..platform.contention import LinkContention, _exact
 from ..platform.faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
@@ -293,13 +293,16 @@ class GraphFaultDriver:
         detection), and re-sorts schedules whose priorities changed;
         phase B readmits/re-announces unparked hosts.  Splitting the
         phases guarantees no readmission-triggered send can start on a
-        route that is still stale.
+        route that is still stale.  The graph does not change during a
+        refresh, so each overlay edge's route is looked up once and shared
+        by every lane's agent on that edge.
         """
         graph = self.graph
         hosts = self.overlay.hosts
         now = self.env.now
         unparked: List[NodeAgent] = []
         resort: List[NodeAgent] = []
+        routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
         for lane in self.lanes:
             for agent in lane.nodes:
                 if agent.is_root or not agent.alive:
@@ -307,7 +310,11 @@ class GraphFaultDriver:
                 parent = agent.parent
                 if parent is None or not parent.alive:
                     continue
-                route = graph.route_or_none(hosts[parent.id], hosts[agent.id])
+                edge = (hosts[parent.id], hosts[agent.id])
+                if edge in routes:
+                    route = routes[edge]
+                else:
+                    route = routes[edge] = graph.route_or_none(*edge)
                 if route is None:
                     lane._park(agent)
                     continue

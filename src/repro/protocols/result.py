@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from .._digest import sha256
 from ..platform.tree import PlatformTree
 from ..sim.warp import PeriodicTimeline, WarpSummary
 from .config import ProtocolConfig
@@ -180,7 +180,7 @@ class SimulationResult:
         resume and workers=1-vs-N equivalence tests compare these instead
         of whole objects.
         """
-        digest = hashlib.sha256()
+        digest = sha256()
         fields = (
             self.config.label, self.num_tasks,
             self.completion_times, self.per_node_computed,

@@ -5,11 +5,12 @@ import pytest
 from repro import simulate
 from repro.apps import Application, MultiAppEngine
 from repro.errors import ProtocolError
-from repro.platform.faults import CrashEvent, FaultSchedule
+from repro.platform.faults import CrashEvent, FaultSchedule, chaos_schedule
 from repro.platform.generator import TreeGeneratorParams, generate_tree
+from repro.platform.graph import PlatformGraph, generate_platform
 from repro.protocols import ProtocolConfig
 from repro.protocols.engine import ProtocolEngine
-from repro.protocols.graph_engine import GraphProtocolEngine
+from repro.protocols.graph_engine import GraphFaultDriver, GraphProtocolEngine
 from repro.sim.warp import (REASON_CONTENTION, REASON_GRAPH_FAULTS,
                             REASON_MULTI_APP, STAND_DOWN_REASONS)
 
@@ -100,6 +101,35 @@ class TestFrontDoorValidation:
         assert result.crashed_node_ids == (1,)
         assert sum(len(a.completion_times) for a in result.apps) \
             == result.num_tasks
+
+    def test_route_refresh_looks_each_overlay_edge_up_once(self,
+                                                          monkeypatch):
+        # Three lanes share one overlay: a refresh must not repeat an
+        # edge's lookup once per lane.
+        lookups, refreshes = [], []
+        route_or_none = PlatformGraph.route_or_none
+        refresh_routes = GraphFaultDriver._refresh_routes
+
+        def counting_route(graph, src, dst):
+            lookups.append((src, dst))
+            return route_or_none(graph, src, dst)
+
+        def recording_refresh(driver, peer=None):
+            start = len(lookups)
+            refresh_routes(driver, peer)
+            refreshes.append(lookups[start:])
+
+        monkeypatch.setattr(PlatformGraph, "route_or_none", counting_route)
+        monkeypatch.setattr(GraphFaultDriver, "_refresh_routes",
+                            recording_refresh)
+        platform = generate_platform("leafspine", seed=1)
+        apps = [Application(15, name=f"app{i}", priority=i, arrival=i * 100)
+                for i in range(3)]
+        result = simulate(platform, apps, CONFIG,
+                          faults=chaos_schedule(platform, seed=1017))
+        assert sum(len(a.completion_times) for a in result.apps) == 45
+        assert any(refreshes)
+        assert all(len(edges) == len(set(edges)) for edges in refreshes)
 
     def test_allocator_rejected_for_single_app(self):
         tree = generate_tree(SMALL, seed=11)

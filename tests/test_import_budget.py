@@ -5,6 +5,8 @@ afterwards, so the checks hold whatever the test process has imported.
 Nothing here is timed.
 """
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,8 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro
+from repro import _digest
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -31,12 +35,17 @@ sys.stdout.write("\\n" + json.dumps(sorted(sys.modules)))
 """
 
 
-def _loaded(code: str = "", argv=None) -> set:
-    """``sys.modules`` of a fresh interpreter after running ``code`` (or
-    ``python -m repro argv``)."""
+def _fresh_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _loaded(code: str = "", argv=None) -> set:
+    """``sys.modules`` of a fresh interpreter after running ``code`` (or
+    ``python -m repro argv``)."""
+    env = _fresh_env()
     if argv is not None:
         code = ("import runpy, sys\n"
                 f"sys.argv = ['repro', *{list(argv)!r}]\n"
@@ -103,3 +112,66 @@ def test_cli_imports_no_figure_module(argv):
     assert not {m for m in experiments
                 if m.startswith(("fig", "table")) or m == "ablation"}
     assert "numpy" not in modules
+
+
+def _has_builtin_sha256() -> bool:
+    return any(importlib.util.find_spec(name) is not None
+               for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not _has_builtin_sha256(),
+                    reason="interpreter built without a built-in sha256")
+def test_digests_load_no_hashlib():
+    # ``hashlib`` loads ``_hashlib``, which maps OpenSSL's libcrypto into
+    # every process that simulates; CPython's own sha256 module is small.
+    modules = _loaded("""
+from repro import ProtocolConfig, generate_platform, generate_tree, simulate
+from repro.harness.checkpoint import (_payload_decode, _payload_encode,
+                                      config_digest)
+from repro.platform.faults import chaos_schedule
+
+config = ProtocolConfig.interruptible(3)
+graph = generate_platform("leafspine", seed=7)
+results = [simulate(generate_tree(seed=7), 300, config),
+           simulate(graph, 300, config,
+                    faults=chaos_schedule(graph, seed=11))]
+assert results[1].crashed_node_ids or results[1].transfers_wasted
+prints = [result.fingerprint() for result in results]
+assert config_digest(config, 300) == config_digest(config, 300)
+assert _payload_decode(*_payload_encode(prints)) == prints
+""")
+    assert _offenders(modules, ("hashlib", "_hashlib")) == []
+
+
+@given(chunks=st.lists(st.binary(max_size=200), max_size=20))
+def test_builtin_sha256_matches_hashlib(chunks):
+    ours, oracle = _digest.sha256(), hashlib.sha256()
+    for chunk in chunks:
+        ours.update(chunk)
+        oracle.update(chunk)
+    assert ours.hexdigest() == oracle.hexdigest()
+    assert _digest.sha256(b"".join(chunks)).hexdigest() == oracle.hexdigest()
+
+
+def test_hashlib_fallback_gives_the_golden_fingerprint():
+    # An interpreter without a built-in sha256 falls back to hashlib and
+    # fingerprints byte-identically.
+    spec = importlib.util.spec_from_file_location(
+        "_equivalence_table",
+        Path(__file__).with_name("test_equivalence_table.py"))
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    code = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from repro import ProtocolConfig, generate_tree, simulate
+from repro._digest import sha256
+assert sha256 is hashlib.sha256
+result = simulate(generate_tree(seed=7), 300, ProtocolConfig.interruptible(3))
+print(result.fingerprint())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == table.PINNED["topology/tree/ic3"]
