@@ -12,7 +12,8 @@ Run:  python examples/overlay_construction.py
 """
 
 from repro.metrics import window_rate
-from repro.platform.overlay import PhysicalTopology, compare_overlays
+from repro.platform import PlatformGraph
+from repro.platform.overlay import compare_overlays
 from repro import simulate
 from repro.protocols import ProtocolConfig
 from repro.steady_state import solve_tree
@@ -20,7 +21,7 @@ from repro.steady_state import solve_tree
 NUM_TASKS = 3000
 
 
-def build_topology() -> PhysicalTopology:
+def build_topology() -> PlatformGraph:
     """A cluster behind one fast gateway, plus slow direct WAN links.
 
     Every worker is directly reachable from the repository over a 30-step
@@ -36,7 +37,7 @@ def build_topology() -> PhysicalTopology:
         (1, 2, 1), (2, 3, 1), (1, 4, 2), (4, 5, 1),
         (1, 6, 2), (6, 7, 1), (4, 8, 2), (6, 9, 2),
     ]
-    return PhysicalTopology(w, links)
+    return PlatformGraph(w, links)
 
 
 def measured_rate(tree) -> float:

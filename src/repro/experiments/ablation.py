@@ -27,7 +27,8 @@ from ..errors import ExperimentError
 from ..harness import HarnessConfig, RunCoverage, run_seeds
 from ..metrics import detect_onset, percentage_reached
 from ..platform.generator import PAPER_DEFAULTS, TreeGeneratorParams, generate_tree
-from ..platform.overlay import PhysicalTopology, compare_overlays
+from ..platform.graph import PlatformGraph
+from ..platform.overlay import compare_overlays
 from ..api import simulate
 from ..protocols import PriorityRule, ProtocolConfig
 from ..steady_state import solve_tree
@@ -163,8 +164,12 @@ class OverlayAblationResult:
     coverage: Optional[RunCoverage] = None
 
 
-def _random_topology(rng: random.Random, hosts: int) -> PhysicalTopology:
-    """Connected random host graph: a random tree plus extra chords."""
+def _random_topology(rng: random.Random, hosts: int) -> PlatformGraph:
+    """Connected random host graph: a random tree plus extra chords.
+
+    A chord may repeat a drawn pair; the pair keeps its cheapest cost, at
+    the position where it first appeared.
+    """
     w = [rng.randint(10, 1000) for _ in range(hosts)]
     links = []
     for node in range(1, hosts):
@@ -174,7 +179,11 @@ def _random_topology(rng: random.Random, hosts: int) -> PhysicalTopology:
         u, v = rng.randrange(hosts), rng.randrange(hosts)
         if u != v:
             links.append((u, v, rng.randint(1, 100)))
-    return PhysicalTopology(w, links)
+    cost_of: Dict[Tuple[int, int], int] = {}
+    for u, v, cost in links:
+        pair = (min(u, v), max(u, v))
+        cost_of[pair] = min(cost, cost_of.get(pair, cost))
+    return PlatformGraph(w, [(u, v, cost) for (u, v), cost in cost_of.items()])
 
 
 def _overlay_seed(seed: int, *,
@@ -210,7 +219,9 @@ def overlay_strategies(scale: Optional[ExperimentScale] = None,
     wins: Dict[str, int] = {}
     per_seed, coverage = _map_seeds(worker, seeds, progress, workers,
                                     harness=harness, experiment="overlays",
-                                    config_parts=(hosts,))
+                                    # The marker names the overlay model, so
+                                    # journals from an older one never resume.
+                                    config_parts=(hosts, "platform-graph"))
     measured = len(per_seed)
     for winner, relative in per_seed:
         wins[winner] = wins.get(winner, 0) + 1
