@@ -118,7 +118,7 @@ _lazy_names = _export(globals(), {
     # telemetry subsystem
     ".telemetry.config": ("TelemetryConfig",),
     ".telemetry.probes": ("TelemetrySnapshot",),
-    ".telemetry.registry": ("MetricsRegistry", "NullRegistry"),
+    ".telemetry.registry": ("MetricsRegistry",),
     ".telemetry.aggregate": ("aggregate_snapshots",),
     ".telemetry.export": ("chrome_trace", "write_chrome_trace",
                           "dump_jsonl", "load_jsonl"),

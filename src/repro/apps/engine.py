@@ -22,10 +22,10 @@ bandwidth split is the manager's allocator policy:
   across all apps' flows at once.
 
 A plain task count returns its lane's result as is; explicit
-applications add the per-app slices and the cooperative optimum.  One
-default application is bit-identical by fingerprint to the plain count,
-which on a tree-shaped graph is bit-identical to the tree engine (the
-golden table in ``tests/test_equivalence_table.py`` pins both).
+applications add the per-app slices.  One default application is
+bit-identical by fingerprint to the plain count, which on a tree-shaped
+graph is bit-identical to the tree engine (the golden table in
+``tests/test_equivalence_table.py`` pins both).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..protocols.graph_engine import GraphFaultDriver, GraphProtocolEngine
 from ..protocols.result import SimulationResult
 from ..sim.core import Environment
 from ..sim.warp import REASON_MULTI_APP, PeriodicTimeline, WarpSummary
-from ..steady_state.solver import solve_tree
 from .metrics import steady_window_rate
 from .spec import Application, AppResult, Workload
 
@@ -60,9 +59,9 @@ class MultiAppEngine:
     :class:`Workload` (or anything :meth:`Workload.of` coerces).  Runs
     every application's lane on one calendar.  Explicit applications get
     a per-app :class:`AppResult` slice, merged into a single
-    :class:`SimulationResult` whose ``apps``/``cooperative_rate`` fields
-    feed the Jain-index and price-of-anarchy properties; a plain task
-    count returns its one lane's result.
+    :class:`SimulationResult` whose ``apps`` feed the Jain-index and
+    price-of-anarchy properties; a plain task count returns its one
+    lane's result.
 
     A ``faults`` schedule is consumed by one shared
     :class:`~repro.protocols.graph_engine.GraphFaultDriver`: a physical
@@ -203,7 +202,6 @@ class MultiAppEngine:
         if not self.workload.is_multi:
             # A plain task count is one lane, and its result is the run's.
             return lane_results[0]
-        cooperative = solve_tree(self.overlay.tree).rate
         app_results = tuple(
             self._app_result(lane, result)
             for lane, result in zip(self.lanes, lane_results))
@@ -212,9 +210,7 @@ class MultiAppEngine:
             # The degenerate case IS the single-app run: reuse its result
             # record verbatim (apps of length 1 stay out of the
             # fingerprint, so bit-identity is preserved by construction).
-            return dataclasses.replace(
-                lane_results[0], apps=app_results,
-                cooperative_rate=cooperative)
+            return dataclasses.replace(lane_results[0], apps=app_results)
 
         merged_completions = sorted(
             t for result in lane_results for t in result.completion_times)
@@ -277,7 +273,6 @@ class MultiAppEngine:
             reclaim_times=tuple(sorted(
                 t for r in lane_results for t in r.reclaim_times)),
             apps=app_results,
-            cooperative_rate=cooperative,
         )
 
     def _app_result(self, lane: GraphProtocolEngine,

@@ -129,10 +129,6 @@ class SimulationResult:
     #: empty; the multi-app engine fills it even for N=1 (where the rest
     #: of the record is bit-identical to the single-app engine's).
     apps: Tuple["AppResult", ...] = ()
-    #: Aggregate steady-state rate of the cooperative optimum
-    #: (:func:`repro.steady_state.solve_tree` on the shared platform) —
-    #: the denominator-side reference for :attr:`price_of_anarchy`.
-    cooperative_rate: Optional[Fraction] = None
 
     @property
     def makespan(self) -> int:
@@ -224,15 +220,21 @@ class SimulationResult:
         return jain_index([app.steady_rate for app in self.apps])
 
     @property
+    def cooperative_rate(self) -> Optional[Fraction]:
+        """The cooperative optimum, ``solve_tree(self.tree).rate``, solved
+        on each read; ``None`` unless the run had explicit applications."""
+        if not self.apps:
+            return None
+        from ..steady_state.solver import solve_tree
+        return solve_tree(self.tree).rate
+
+    @property
     def price_of_anarchy(self) -> Optional[float]:
         """Cooperative optimal aggregate rate / achieved aggregate rate.
 
         ≥ 1; how much total throughput the non-cooperative split left on
-        the table.  ``None`` unless the run recorded a cooperative
-        reference rate and at least one per-app rate is positive.
+        the table.  ``None`` unless at least one per-app rate is positive.
         """
-        if not self.apps or self.cooperative_rate is None:
-            return None
         from ..apps.metrics import price_of_anarchy
         return price_of_anarchy(
             [app.steady_rate for app in self.apps], self.cooperative_rate)

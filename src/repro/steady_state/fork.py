@@ -21,15 +21,15 @@ its own arrival rate.
 
 All arithmetic is exact (:class:`fractions.Fraction`), which downstream lets
 the onset detector compare measured rates with the optimum without floating
-point ties.
+point ties.  :func:`~repro.steady_state.solver.solve_tree` runs the same
+greedy, :func:`_greedy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..errors import SolverError
 
@@ -142,39 +142,16 @@ def solve_fork(w0: NumberLike, children: Sequence[Tuple[NumberLike, NumberLike]]
     # Bandwidth-centric order; original index breaks ties deterministically
     # (any tie order yields the same optimum — fractional knapsack).
     parsed.sort(key=lambda t: (t[0], t[2]))
+    p, epsilon, uncapped_rate = _greedy(w0, [t[:2] for t in parsed])
+    allocations = [ChildAllocation(idx, ci, wi, 1 / wi, ci / wi, SATURATED)
+                   for ci, wi, idx in parsed[:p]]
+    for ci, wi, idx in parsed[p:p + 1]:  # the partial child, if any
+        allocations.append(ChildAllocation(idx, ci, wi, epsilon / ci, epsilon,
+                                           PARTIAL if epsilon else STARVED))
+    allocations += [ChildAllocation(idx, ci, wi, Fraction(0), Fraction(0),
+                                    STARVED) for ci, wi, idx in parsed[p + 1:]]
 
-    one = Fraction(1)
-    used_link = Fraction(0)
-    rate = one / w0
-    allocations: List[ChildAllocation] = []
-    p = 0
-    epsilon = Fraction(0)
-    partial_assigned = False
-
-    for ci, wi, idx in parsed:
-        share = ci / wi  # link fraction to keep this child saturated
-        if not partial_assigned and used_link + share <= 1:
-            used_link += share
-            child_rate = one / wi
-            rate += child_rate
-            p += 1
-            allocations.append(ChildAllocation(
-                idx, ci, wi, child_rate, share, SATURATED))
-        elif not partial_assigned:
-            epsilon = one - used_link
-            child_rate = epsilon / ci
-            rate += child_rate
-            used_link = one
-            partial_assigned = True
-            status = PARTIAL if child_rate > 0 else STARVED
-            allocations.append(ChildAllocation(
-                idx, ci, wi, child_rate, epsilon, status))
-        else:
-            allocations.append(ChildAllocation(
-                idx, ci, wi, Fraction(0), Fraction(0), STARVED))
-
-    uncapped_rate = rate
-    w_tree = max(c0, one / rate)
+    w_tree = max(c0, 1 / uncapped_rate)
     return ForkSolution(
         w0=w0,
         c0=c0,
@@ -182,6 +159,21 @@ def solve_fork(w0: NumberLike, children: Sequence[Tuple[NumberLike, NumberLike]]
         p=p,
         epsilon=epsilon,
         w_tree=w_tree,
-        rate=one / w_tree,
+        rate=1 / w_tree,
         uncapped_rate=uncapped_rate,
     )
+
+
+def _greedy(w0, children):
+    """``(p, epsilon, uncapped_rate)`` of Theorem 1 for ``(c_i, w_i)``
+    children sorted by ``c_i``, in the operands' own rational type."""
+    rate = 1 / w0
+    used = zero = rate * 0
+    for p, (ci, wi) in enumerate(children):
+        share = ci / wi
+        if used + share > 1:
+            epsilon = 1 - used
+            return p, epsilon, rate + epsilon / ci
+        used += share
+        rate += 1 / wi
+    return len(children), zero, rate

@@ -1,36 +1,46 @@
 """Bottom-up optimal steady-state analysis of a whole platform tree.
 
-A bottom-up traversal applies Theorem 1 (:func:`repro.steady_state.fork.solve_fork`)
-at every node: the computational weight ``W_i`` of the subtree rooted at
-node *i* is the fork solution of *i* with its children's subtree weights,
-clamped by *i*'s own uplink cost ``c_i``.  The root's ``W`` is the tree's
-optimal computational weight ``w_tree``; its reciprocal is the optimal
-steady-state task completion rate the autonomous protocols try to reach.
+A bottom-up traversal applies Theorem 1 at every node: the computational
+weight ``W_i`` of the subtree rooted at node *i* is the fork weight of *i*
+with its children's subtree weights, clamped by *i*'s own uplink cost
+``c_i``.  The root's ``W`` is the tree's optimal computational weight
+``w_tree``; its reciprocal is the optimal steady-state task completion
+rate the autonomous protocols try to reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Tuple
 
-from ..errors import SolverError
 from ..platform.tree import PlatformTree
-from .fork import ForkSolution, solve_fork
+from ..sim.events import FastFraction
+from .fork import ForkSolution, _greedy, solve_fork
 
 __all__ = ["solve_tree", "SteadyStateSolution"]
 
 
 @dataclass(frozen=True)
 class SteadyStateSolution:
-    """Optimal steady-state analysis of one platform tree."""
+    """Optimal steady-state analysis of one platform tree: the subtree
+    weights of :func:`solve_tree`, and the forks solved from them on read."""
 
     #: The analysed platform (snapshot reference; not copied).
     tree: PlatformTree
     #: Per-node subtree computational weight ``W_i`` (time per task).
     subtree_weights: Tuple[Fraction, ...]
-    #: Per-node fork solutions (leaf forks have no children).
-    forks: Tuple[ForkSolution, ...]
+
+    @cached_property
+    def forks(self) -> Tuple[ForkSolution, ...]:
+        """Per-node fork solutions (leaf forks have no children), solved
+        from :attr:`subtree_weights` on first read and kept."""
+        tree, weights = self.tree, self.subtree_weights
+        return tuple(
+            solve_fork(tree.w[i], [(tree.c[k], weights[k])
+                                   for k in tree.children[i]], c0=tree.c[i])
+            for i in range(tree.num_nodes))
 
     @property
     def w_tree(self) -> Fraction:
@@ -54,25 +64,16 @@ class SteadyStateSolution:
 def solve_tree(tree: PlatformTree) -> SteadyStateSolution:
     """Compute the optimal steady-state rate of ``tree`` (exact).
 
-    Runs in one postorder pass; every node's fork is solved with its
-    children's already-computed subtree weights, so the whole analysis is
-    ``O(V log V)`` (the log from sorting children by edge cost).
+    One postorder pass of Theorem 1's greedy on ``FastFraction``, in
+    ``O(V log V)`` (the log from sorting children by edge cost); the
+    weights come back as plain ``Fraction``.
     """
-    n = tree.num_nodes
-    weights: List[Optional[Fraction]] = [None] * n
-    forks: List[Optional[ForkSolution]] = [None] * n
-
-    for node_id in tree.postorder():
-        child_ids = tree.children[node_id]
-        children = [(tree.c[cid], weights[cid]) for cid in child_ids]
-        if any(w is None for _c, w in children):  # pragma: no cover - defensive
-            raise SolverError("postorder traversal visited a parent before a child")
-        solution = solve_fork(tree.w[node_id], children, c0=tree.c[node_id])
-        forks[node_id] = solution
-        weights[node_id] = solution.w_tree
-
-    return SteadyStateSolution(
-        tree=tree,
-        subtree_weights=tuple(weights),  # type: ignore[arg-type]
-        forks=tuple(forks),  # type: ignore[arg-type]
-    )
+    w = [FastFraction(x) for x in tree.w]
+    c = [FastFraction(x) for x in tree.c]
+    weights = [None] * len(w)
+    for i in tree.postorder():
+        # A stable sort keeps child order on ties, as solve_fork does.
+        kids = sorted([(c[k], weights[k]) for k in tree.children[i]],
+                      key=lambda kid: kid[0])
+        weights[i] = max(c[i], 1 / _greedy(w[i], kids)[2])
+    return SteadyStateSolution(tree, tuple(Fraction(x) for x in weights))

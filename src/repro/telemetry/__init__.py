@@ -12,8 +12,7 @@ from .._exports import export as _export
 __all__ = _export(globals(), {
     ".config": ("TelemetryConfig",),
     ".probes": ("TelemetryProbe", "TelemetrySnapshot"),
-    ".registry": ("Counter", "Gauge", "Histogram", "TimeSeries",
-                  "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"),
+    ".registry": ("Counter", "TimeSeries", "MetricsRegistry"),
     ".export": ("dump_jsonl", "iter_jsonl", "load_jsonl", "dump_csv",
                 "chrome_trace", "write_chrome_trace", "multi_app_trace",
                 "write_multi_app_trace", "export_auto"),

@@ -1,27 +1,19 @@
-"""Metrics registry: counters, gauges, histograms, and time series.
+"""Metrics registry: counters and time series.
 
 The registry is the storage layer of the telemetry subsystem: probes
 (:mod:`repro.telemetry.probes`) create named instruments here, exporters
 (:mod:`repro.telemetry.export`) read them back out.  Instruments are
 keyed by ``(name, node)`` so per-node families ("buffer_occupancy of node
 3") and global metrics ("completed") share one namespace.
-
-:class:`NullRegistry` is the disabled-mode stand-in: every accessor
-returns a shared no-op instrument, so code instrumented against a
-registry attribute pays a single attribute lookup (and a no-op call at
-worst) when telemetry is off.  Hot paths that cannot afford even that
-should branch on :attr:`MetricsRegistry.enabled`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ReproError
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries",
-           "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"]
+__all__ = ["Counter", "TimeSeries", "MetricsRegistry"]
 
 #: Key of one instrument: ``(name, node)``; ``node`` is ``None`` for
 #: global (non-per-node) metrics.
@@ -41,51 +33,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.value}>"
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.value}>"
-
-
-class Histogram:
-    """Fixed-bucket histogram: counts of observations per bucket.
-
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    implicit overflow bucket catches everything above the last bound.
-    Buckets are fixed at construction — no rebinning — so recording is a
-    single bisect plus an increment.
-    """
-
-    __slots__ = ("bounds", "counts", "total")
-
-    def __init__(self, bounds: Tuple[float, ...]):
-        if not bounds:
-            raise ReproError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds):
-            raise ReproError(f"histogram bounds must be sorted: {bounds}")
-        self.bounds = tuple(bounds)
-        self.counts: List[int] = [0] * (len(bounds) + 1)
-        self.total = 0
-
-    def observe(self, value) -> None:
-        # First bound >= value is the bucket; values above every bound
-        # land in the trailing overflow bucket.
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram n={self.total}>"
 
 
 class TimeSeries:
@@ -138,8 +85,6 @@ class MetricsRegistry:
     a different instrument type raises — one name, one meaning.
     """
 
-    enabled = True
-
     def __init__(self):
         self._instruments: Dict[Key, object] = {}
 
@@ -158,14 +103,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, node: Optional[int] = None) -> Counter:
         return self._get_or_create(name, node, Counter, Counter)
-
-    def gauge(self, name: str, node: Optional[int] = None) -> Gauge:
-        return self._get_or_create(name, node, Gauge, Gauge)
-
-    def histogram(self, name: str, bounds: Tuple[float, ...],
-                  node: Optional[int] = None) -> Histogram:
-        return self._get_or_create(name, node,
-                                   lambda: Histogram(bounds), Histogram)
 
     def series(self, name: str, node: Optional[int] = None,
                max_samples: Optional[int] = None) -> TimeSeries:
@@ -200,69 +137,3 @@ class MetricsRegistry:
         return {key: inst.as_tuples() for key, inst in self.items()
                 if isinstance(inst, TimeSeries)}
 
-
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by :class:`NullRegistry`."""
-
-    __slots__ = ()
-    value = 0
-    total = 0
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-    def set(self, value) -> None:
-        return None
-
-    def observe(self, value) -> None:
-        return None
-
-    def append(self, time, value) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Disabled-telemetry registry: every accessor returns a shared no-op
-    instrument and records nothing.  ``enabled`` is ``False`` so hot paths
-    can skip even the no-op call with one attribute test."""
-
-    enabled = False
-
-    def counter(self, name: str, node: Optional[int] = None):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, node: Optional[int] = None):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds: Tuple[float, ...],
-                  node: Optional[int] = None):
-        return _NULL_INSTRUMENT
-
-    def series(self, name: str, node: Optional[int] = None,
-               max_samples: Optional[int] = None):
-        return _NULL_INSTRUMENT
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, key) -> bool:
-        return False
-
-    def items(self):
-        return iter(())
-
-    def counters(self):
-        return {}
-
-    def series_data(self):
-        return {}
-
-
-#: Shared singleton used wherever "telemetry off" needs a registry object.
-NULL_REGISTRY = NullRegistry()

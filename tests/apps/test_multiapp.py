@@ -152,6 +152,31 @@ class TestFrontDoorValidation:
                              CONFIG)
         assert result.fingerprint() != both_root.fingerprint()
 
+    def test_cooperative_rate_is_the_result_trees_optimum(self):
+        """``cooperative_rate`` is Theorem 1 on the result's tree, read on
+        demand.  A single app sourced off the root runs on the overlay
+        re-rooted at its source, so its optimum is that tree's: 0.01835
+        here, where an optimum of the root's overlay (0.01238) would
+        describe a platform the app never ran on."""
+        from fractions import Fraction
+
+        from repro.steady_state import solve_tree
+
+        tree = generate_tree(seed=1)
+        root_optimum = Fraction(832288027922805917, 67231862642917426272)
+        off_root = simulate(tree, [Application(40, source=2)], CONFIG)
+        assert off_root.cooperative_rate == solve_tree(off_root.tree).rate
+        assert float(off_root.cooperative_rate) == pytest.approx(
+            0.018349738344549265, rel=1e-12)
+        for apps, anarchy in (
+                ([Application(40)], 10.127276000266765),
+                ([Application(40, source=2), Application(40)],
+                 8.693830168160535)):
+            result = simulate(tree, apps, CONFIG)
+            assert result.cooperative_rate == root_optimum
+            assert result.price_of_anarchy == pytest.approx(anarchy,
+                                                            rel=1e-12)
+
     def test_unknown_source_rejected(self):
         tree = generate_tree(SMALL, seed=11)
         with pytest.raises(Exception, match="host"):

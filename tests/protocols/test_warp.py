@@ -29,6 +29,7 @@ from repro.protocols import ProtocolConfig, Tracer
 from repro.protocols.engine import ProtocolEngine
 from repro.sim import warp as warp_module
 from repro.sim.warp import LEDGER_CAP, FAR_HORIZON, WarpSummary
+from repro.steady_state import solve_tree
 
 IC3 = ProtocolConfig.interruptible(3)
 IC3_WARP = ProtocolConfig.interruptible(3, warp=True)
@@ -75,6 +76,11 @@ class TestWarpedEqualsExact:
                 applied += 1
                 assert warped.warp.tasks_skipped == (
                     warped.warp.periods * warped.warp.period_tasks)
+                # Theorem 1 referees the warp: a period's rate k/T is a
+                # schedule's steady rate, so it cannot beat the optimum.
+                assert Fraction(warped.warp.period_tasks,
+                                warped.warp.period_time) <= (
+                    solve_tree(tree).rate), f"case {index}: {warped.warp}"
         assert applied >= total // 5, (
             f"warp engaged on only {applied}/{total} short-period cases")
 

@@ -135,3 +135,47 @@ class TestProperties:
                  if ch != victim]
         pruned = PlatformTree(w, edges, root=relabel[tree.root])
         assert solve_tree(pruned).rate <= base
+
+
+#: Edge costs from a small set, so siblings tie on ``c``, also across
+#: types (``Fraction(1, 2)`` and ``0.5`` are one cost).
+_COSTS = st.sampled_from([1, 2, 3, Fraction(1, 2), 0.5, Fraction(3, 2), 1.5])
+_WEIGHTS = st.one_of(st.integers(1, 40),
+                     st.fractions(Fraction(1, 4), 40, max_denominator=9),
+                     st.floats(0.25, 40))
+
+
+@st.composite
+def mixed_trees(draw):
+    """Trees of up to 14 nodes with int, Fraction and float weights."""
+    n = draw(st.integers(1, 14))
+    w = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    edges = [(draw(st.integers(0, i - 1)), i, draw(_COSTS))
+             for i in range(1, n)]
+    return PlatformTree(w, edges)
+
+
+class TestLeanPass:
+    """``solve_tree`` runs Theorem 1's greedy alone; the per-node
+    :func:`solve_fork` composition is its oracle."""
+
+    @given(tree=st.one_of(
+        mixed_trees(),
+        st.integers(0, 5000).map(lambda seed: generate_tree(
+            TreeGeneratorParams(min_nodes=2, max_nodes=25, max_comm=3,
+                                max_comp=30), seed=seed))))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_and_forks_equal_per_node_solve_fork(self, tree):
+        weights = [None] * tree.num_nodes
+        forks = [None] * tree.num_nodes
+        for i in tree.postorder():
+            forks[i] = solve_fork(tree.w[i], [(tree.c[k], weights[k])
+                                              for k in tree.children[i]],
+                                  c0=tree.c[i])
+            weights[i] = forks[i].w_tree
+        sol = solve_tree(tree)
+        assert sol.subtree_weights == tuple(weights)
+        assert all(type(w) is Fraction for w in sol.subtree_weights)
+        assert type(sol.rate) is Fraction
+        assert sol.forks == tuple(forks)
+        assert sol.fork(tree.root) is sol.forks[tree.root]  # built once

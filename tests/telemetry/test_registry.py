@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.telemetry import MetricsRegistry, NullRegistry
-from repro.telemetry.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    TimeSeries,
-)
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.registry import Counter, TimeSeries
 
 
 class TestInstruments:
@@ -19,26 +13,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge()
-        gauge.set(3)
-        gauge.set(-1.5)
-        assert gauge.value == -1.5
-
-    def test_histogram_bucketing(self):
-        hist = Histogram((1, 5, 10))
-        for value in (0, 1, 2, 5, 7, 10, 11, 1000):
-            hist.observe(value)
-        # Buckets: <=1, <=5, <=10, overflow.
-        assert hist.counts == [2, 2, 2, 2]
-        assert hist.total == 8
-
-    def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ReproError):
-            Histogram(())
-        with pytest.raises(ReproError):
-            Histogram((5, 1))
 
 
 class TestTimeSeries:
@@ -79,7 +53,10 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ReproError):
-            reg.gauge("x")
+            reg.series("x")
+        reg.series("y")
+        with pytest.raises(ReproError):
+            reg.counter("y")
 
     def test_items_deterministic_order(self):
         reg = MetricsRegistry()
@@ -103,19 +80,3 @@ class TestRegistry:
         assert ("x", None) in reg
         assert "y" not in reg
 
-
-class TestNullRegistry:
-    def test_all_accessors_are_noops(self):
-        reg = NullRegistry()
-        assert reg.enabled is False
-        reg.counter("a").inc()
-        reg.gauge("b").set(5)
-        reg.histogram("c", (1, 2)).observe(9)
-        reg.series("d").append(0, 1.0)
-        assert len(reg) == 0
-        assert reg.counters() == {}
-        assert reg.series_data() == {}
-        assert "a" not in reg
-
-    def test_shared_singleton(self):
-        assert NULL_REGISTRY.counter("x") is NULL_REGISTRY.series("y")

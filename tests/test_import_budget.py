@@ -96,6 +96,21 @@ assert results[3].service.completed > 0
     assert _offenders(modules, SIMULATE_FORBIDDEN) == []
 
 
+def test_graph_and_multiapp_simulate_load_no_steady_state():
+    # The cooperative optimum is solved when it is read, not per run.
+    modules = _loaded("""
+from repro import Application, ProtocolConfig, generate_platform, simulate
+
+config = ProtocolConfig.interruptible(3)
+simulate(generate_platform("leafspine", seed=7), 300, config)
+result = simulate(generate_platform("star", seed=3),
+                  [Application(100), Application(100), Application(100)],
+                  config)
+assert len(result.apps) == 3
+""")
+    assert _offenders(modules, ("repro.steady_state",)) == []
+
+
 def test_fig4_configs_load_no_numpy():
     modules = _loaded("from repro.experiments.fig4 import FIG4_CONFIGS")
     assert _offenders(modules, ("numpy", "repro.harness")) == []
