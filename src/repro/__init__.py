@@ -18,9 +18,9 @@ Bandwidth-Centric Scheduling of Independent-task Applications"*
 * :mod:`repro.harness` — crash-safe sweep infrastructure: checkpointed
   journals, a supervised worker pool with per-seed retry/backoff, and
   resume of interrupted ensembles (:class:`~repro.harness.HarnessConfig`),
-* :mod:`repro.telemetry` — disabled-by-default observability: a metrics
-  registry, read-only run probes, JSONL/CSV/Perfetto exporters, and
-  ensemble aggregation (:class:`~repro.telemetry.TelemetryConfig`),
+* :mod:`repro.telemetry` — disabled-by-default observability:
+  read-only run probes, JSONL/CSV/Perfetto exporters, and ensemble
+  aggregation (:class:`~repro.telemetry.TelemetryConfig`),
 * :mod:`repro.service` — service mode: open-loop streaming arrival
   processes, admission control, and O(1)-memory latency SLO folds
   (:class:`~repro.service.PoissonArrivals`,
@@ -118,7 +118,6 @@ _lazy_names = _export(globals(), {
     # telemetry subsystem
     ".telemetry.config": ("TelemetryConfig",),
     ".telemetry.probes": ("TelemetrySnapshot",),
-    ".telemetry.registry": ("MetricsRegistry",),
     ".telemetry.aggregate": ("aggregate_snapshots",),
     ".telemetry.export": ("chrome_trace", "write_chrome_trace",
                           "dump_jsonl", "load_jsonl"),

@@ -138,7 +138,8 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
             raise ProtocolError(
                 f"got {len(tracer)} tracers for {len(lanes)} applications")
         for lane, lane_tracer in zip(lanes, tracer):
-            lane.tracer = lane_tracer
+            if lane_tracer is not None:
+                lane.sinks.append(lane_tracer)
     result = engine.run()
     engine._release()
     return result

@@ -21,7 +21,6 @@ from ..platform.generator import PAPER_DEFAULTS, TreeGeneratorParams, generate_t
 from ..platform.graph import GRAPH_TOPOLOGIES, generate_platform
 from ..protocols.config import ProtocolConfig
 from ..protocols.topologies import topology_overlay
-from ..steady_state.solver import solve_tree
 
 if TYPE_CHECKING:  # annotation-only: the harness loads when a sweep runs
     from ..harness import HarnessConfig, RunCoverage
@@ -171,6 +170,8 @@ def run_case(seed: int, params: TreeGeneratorParams,
         graph = generate_platform(scale.topology, params, seed=seed)
         overlay = topology_overlay(graph)
         tree = overlay.tree
+    from ..steady_state.solver import solve_tree
+
     optimal = solve_tree(tree).rate
     outcomes: Dict[str, ConfigOutcome] = {}
     for config in configs:

@@ -283,9 +283,9 @@ class LinkContention:
     reschedules exactly those timers.  Exact arithmetic keeps every
     settlement lossless.
 
-    Solver statistics (``stats()``) feed the telemetry registry:
-    reallocation events, dirty-set sizes, memo hits, and how often the
-    shortcut and the allocator resolved a settle.
+    Solver statistics (``stats()``) feed telemetry's ``contention.*``
+    counters: reallocation events, dirty-set sizes, memo hits, and how
+    often the shortcut and the allocator resolved a settle.
     """
 
     __slots__ = ("capacities", "mode", "incremental", "_selfish",

@@ -100,18 +100,19 @@ class ProtocolConfig:
     #: advanced analytically instead of event by event.  Results are
     #: provably identical (`SimulationResult.fingerprint()` matches the
     #: exact run); long quiescent runs get dramatically faster.  Warp
-    #: stands down automatically under mutations, churn, faults, or a
-    #: tracer assigned before the run, so it is always safe to leave on —
+    #: stands down automatically under mutations, churn, faults, or any
+    #: recorder in the engine's ``sinks``, so it is always safe to leave on —
     #: it defaults off only to keep pre-warp calendars bit-identical for
     #: auditing.
     warp: bool = False
     #: Telemetry probes (:mod:`repro.telemetry`): ``None`` (the default)
     #: runs with zero instrumentation; a
     #: :class:`~repro.telemetry.config.TelemetryConfig` attaches sampling
-    #: probes (and, optionally, the exact event tap) to the run, and the
-    #: result gains a :class:`~repro.telemetry.probes.TelemetrySnapshot`.
-    #: Sampling is read-only, so fingerprints are unaffected; warp stands
-    #: down while probes are attached, like it does for tracing.
+    #: probes (and, optionally, the exact event tap, which joins the
+    #: engine's ``sinks``) to the run, and the result gains a
+    #: :class:`~repro.telemetry.probes.TelemetrySnapshot`.  Sampling is
+    #: read-only, so fingerprints are unaffected; warp stands down while
+    #: probes are attached, like it does for tracing.
     telemetry: Optional["TelemetryConfig"] = None
 
     def __post_init__(self):

@@ -41,8 +41,8 @@ _MIN_RECURSION_LIMIT = 20_000
 
 
 class _RecorderFanout:
-    """Duplicates the protocol trace stream into multiple recorders (the
-    user's tracer plus the telemetry event tap)."""
+    """Duplicates the protocol trace stream into every one of an engine's
+    :attr:`~ProtocolEngine.sinks`, in list order."""
 
     __slots__ = ("sinks",)
 
@@ -119,12 +119,14 @@ class ProtocolEngine:
             raise ProtocolError("admission= requires arrivals=")
 
         self.env = self._make_env()
-        #: Optional :class:`repro.protocols.trace.Tracer` recording protocol
-        #: events; assign before calling :meth:`run`.
-        self.tracer = None
+        #: Recorders of this run's protocol events, each with the
+        #: :meth:`repro.protocols.trace.Tracer.record` interface: the
+        #: telemetry event tap, then any :class:`~repro.protocols.trace.
+        #: Tracer` appended before calling :meth:`run`.
+        self.sinks: list = []
         #: Effective trace recorder agents fan protocol events into: the
-        #: telemetry event tap, :attr:`tracer`, a fanout of both, or
-        #: ``None``.  Fixed once per run by :meth:`_resolve_warp`.
+        #: one sink, a fanout of them all, or ``None``.  Fixed once per run
+        #: by :meth:`_resolve_warp`.
         self._recorder = None
         #: Live telemetry probe (``None`` unless ``config.telemetry`` set).
         self.probe = None
@@ -258,10 +260,14 @@ class ProtocolEngine:
         if self.service_driver is not None:
             self.service_driver.on_repository_exhausted(self.env.now)
 
+    def _emit(self, kind: str, node: int, peer=None) -> None:
+        """Record one engine-side protocol event (faults, mutations)."""
+        if self._recorder is not None:
+            self._recorder.record(self.env.now, kind, node, peer)
+
     def _apply_mutation(self, mutation: Mutation) -> None:
         mutation.apply(self.tree)  # keep the tree snapshot in sync
-        if self._recorder is not None:
-            self._recorder.record(self.env.now, _trace.MUTATION, mutation.node)
+        self._emit(_trace.MUTATION, mutation.node)
         self.nodes[mutation.node].apply_weight_change(
             mutation.attribute, mutation.value)
 
@@ -379,8 +385,7 @@ class ProtocolEngine:
         self._pending_lost[victim.id] = pending
         self.crashed_node_ids.append(victim.id)
         self.crash_times.append(self.env.now)
-        if self._recorder is not None:
-            self._recorder.record(self.env.now, _trace.CRASH, victim.id)
+        self._emit(_trace.CRASH, victim.id)
         gained: List[NodeAgent] = []
         for orphan in sorted(victim.children, key=lambda a: a.id):
             new_parent = self.nodes[adopters[orphan.id]]
@@ -402,17 +407,14 @@ class ProtocolEngine:
         """``agent`` lost its route to its parent."""
         if not agent.link_down:
             agent.link_down = True
-            if self._recorder is not None:
-                self._recorder.record(self.env.now, _trace.LINK_DOWN,
-                                      agent.id)
+            self._emit(_trace.LINK_DOWN, agent.id)
 
     def _unpark(self, agent: NodeAgent) -> None:
         """``agent``'s route to its parent is back: the parent re-admits
         it or hears the requests deferred meanwhile, and the losses
         pooled under it surface."""
         agent.link_down = False
-        if self._recorder is not None:
-            self._recorder.record(self.env.now, _trace.LINK_UP, agent.id)
+        self._emit(_trace.LINK_UP, agent.id)
         parent = agent.parent
         if agent.alive and parent is not None and parent.alive:
             if agent.id in parent.suspect or agent not in parent.children:
@@ -481,8 +483,7 @@ class ProtocolEngine:
             return
         self.tasks_reexecuted += lost
         self.reclaim_times.append(self.env.now)
-        if self._recorder is not None:
-            self._recorder.record(self.env.now, _trace.RECLAIM, agent.id, lost)
+        self._emit(_trace.RECLAIM, agent.id, lost)
         self._refill_root(lost)
         if self.check_invariants:
             self._check_conservation()
@@ -538,8 +539,7 @@ class ProtocolEngine:
         recorder is built here and pushed to every agent's hot-path cache;
         agents built later (churn joins) take it at construction.
         """
-        tap = self.probe.tap if self.probe is not None else None
-        sinks = [sink for sink in (tap, self.tracer) if sink is not None]
+        sinks = self.sinks
         if len(sinks) > 1:
             self._recorder = _RecorderFanout(sinks)
         else:

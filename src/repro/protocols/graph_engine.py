@@ -299,7 +299,6 @@ class GraphFaultDriver:
         """
         graph = self.graph
         hosts = self.overlay.hosts
-        now = self.env.now
         unparked: List[NodeAgent] = []
         resort: List[NodeAgent] = []
         routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
@@ -328,9 +327,7 @@ class GraphFaultDriver:
                         agent._refresh_prio_key()
                         if parent not in resort:
                             resort.append(parent)
-                    if lane._recorder is not None:
-                        lane._recorder.record(now, _trace.REROUTE,
-                                              agent.id, peer)
+                    lane._emit(_trace.REROUTE, agent.id, peer)
         for parent in resort:
             parent.resort_children()
         for agent in unparked:
@@ -347,8 +344,7 @@ class GraphFaultDriver:
             for agent in lane.nodes:
                 if (not agent.is_root and agent.alive
                         and link in agent.route):
-                    lane._recorder.record(self.env.now, _trace.DEGRADE,
-                                          agent.id, link)
+                    lane._emit(_trace.DEGRADE, agent.id, link)
         self._check()
 
     def _kick(self) -> None:

@@ -14,7 +14,7 @@ Example::
 
     engine = ProtocolEngine(tree, config, 100)
     tracer = Tracer()
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
     engine.run()
     print(ascii_gantt(tracer, num_nodes=tree.num_nodes, t0=0, t1=200))
 """

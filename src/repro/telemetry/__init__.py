@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics registry, run probes, exporters, ensembles.
+"""Telemetry subsystem: run probes, exporters, ensembles.
 
 Disabled by default everywhere — a run only carries probes when a
 :class:`~repro.telemetry.config.TelemetryConfig` is attached to its
@@ -11,8 +11,7 @@ from .._exports import export as _export
 
 __all__ = _export(globals(), {
     ".config": ("TelemetryConfig",),
-    ".probes": ("TelemetryProbe", "TelemetrySnapshot"),
-    ".registry": ("Counter", "TimeSeries", "MetricsRegistry"),
+    ".probes": ("TelemetryProbe", "TelemetrySnapshot", "TimeSeries"),
     ".export": ("dump_jsonl", "iter_jsonl", "load_jsonl", "dump_csv",
                 "chrome_trace", "write_chrome_trace", "multi_app_trace",
                 "write_multi_app_trace", "export_auto"),

@@ -1,4 +1,4 @@
-"""Time-series probes: hook a protocol run and fill a metrics registry.
+"""Time-series probes: watch a protocol run, fold it into a snapshot.
 
 Two probe layers (see :class:`~repro.telemetry.config.TelemetryConfig`):
 
@@ -11,34 +11,76 @@ Two probe layers (see :class:`~repro.telemetry.config.TelemetryConfig`):
   from ``events_processed``, which makes the run's
   :meth:`~repro.protocols.result.SimulationResult.fingerprint` equal to
   the telemetry-off fingerprint (tested).
-* the **event tap** — an object with the
-  :meth:`~repro.protocols.trace.Tracer.record` interface that the engine
-  fans protocol trace events into when ``trace_events=True``.  It
-  integrates *exact* per-node compute/send busy intervals and per-kind
-  event counts, at the cost of one callback per protocol event.
+* the **event tap** — when ``trace_events=True`` the probe joins the
+  engine's ``sinks`` (ahead of any user tracer) and receives every
+  protocol trace event through the
+  :meth:`~repro.protocols.trace.Tracer.record` interface.  It integrates
+  *exact* per-node compute/send busy intervals and per-kind event counts,
+  at the cost of one callback per protocol event.
 
-Both layers write into one :class:`~repro.telemetry.registry.MetricsRegistry`;
-:meth:`TelemetryProbe.finalize` folds everything into an immutable,
-picklable :class:`TelemetrySnapshot` that rides on the simulation result
-through the crash-safe harness.
+The probe holds its counts in a plain dict and its series as
+:class:`TimeSeries`; :meth:`TelemetryProbe.finalize` folds everything
+into an immutable, picklable :class:`TelemetrySnapshot` that rides on the
+simulation result through the crash-safe harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..protocols import trace as _trace
 from .config import TelemetryConfig
-from .registry import MetricsRegistry
 
-__all__ = ["TelemetryProbe", "TelemetrySnapshot", "SeriesData"]
+__all__ = ["TelemetryProbe", "TelemetrySnapshot", "TimeSeries", "SeriesData"]
 
 #: One materialized time series: ``(times, values)``, same length.
 SeriesData = Tuple[Tuple[int, ...], Tuple[float, ...]]
 
 #: Global series names the sampler maintains.
 _GLOBAL_SERIES = ("completed", "events", "buffer_occupancy", "queue_depth")
+
+
+class TimeSeries:
+    """Bounded ``(time, value)`` series with halving decimation.
+
+    ``append`` assumes non-decreasing times (virtual time only moves
+    forward).  When the series exceeds ``max_samples`` it drops every
+    other retained sample — oldest first within the kept set — so the
+    series always spans the full run at a coarser resolution instead of
+    truncating its head or tail.
+    """
+
+    __slots__ = ("max_samples", "times", "values", "decimations")
+
+    def __init__(self, max_samples: Optional[int] = None):
+        self.max_samples = max_samples
+        self.times: List[int] = []
+        self.values: List[float] = []
+        self.decimations = 0
+
+    def append(self, time, value) -> None:
+        self.times.append(time)
+        self.values.append(value)
+        if self.max_samples is not None and len(self.times) > self.max_samples:
+            self.decimate()
+
+    def decimate(self) -> None:
+        """Keep every other sample (the newest is always retained)."""
+        start = 1 - len(self.times) % 2
+        self.times = self.times[start::2]
+        self.values = self.values[start::2]
+        self.decimations += 1
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return iter(zip(self.times, self.values))
+
+    def as_tuples(self) -> SeriesData:
+        """Immutable ``(times, values)`` pair for snapshots."""
+        return tuple(self.times), tuple(self.values)
 
 
 @dataclass(frozen=True)
@@ -97,7 +139,6 @@ class TelemetryProbe:
     def __init__(self, engine, config: TelemetryConfig):
         self.engine = engine
         self.config = config
-        self.registry = MetricsRegistry()
         #: Calendar entries consumed by the sampler itself; the engine
         #: subtracts this from ``events_processed`` so sampling never
         #: shows up in the result's fingerprint.
@@ -105,18 +146,25 @@ class TelemetryProbe:
         self._dt = config.sample_dt
         self._decimations_seen = 0
 
-        cap = config.max_samples
-        reg = self.registry
-        self._lead = reg.series("completed", max_samples=cap)
-        self._global = {name: reg.series(name, max_samples=cap)
+        #: Global series by name; :meth:`start` adds the contention and
+        #: service tracks of runs that have them.
+        self._series = {name: TimeSeries(config.max_samples)
                         for name in _GLOBAL_SERIES}
+        self._lead = self._series["completed"]
+        self._contention_series: Optional[tuple] = None
+        self._service_series: Optional[tuple] = None
+        # Per-node series (``per_node_series``), indexed by node id.
+        self._buffer_series: List[TimeSeries] = []
+        self._queue_series: List[TimeSeries] = []
 
         # Event-tap state (exact interval integration).
         self._compute_open: Dict[int, int] = {}
         self._send_open: Dict[int, int] = {}
         self._compute_busy: Dict[int, int] = {}
         self._send_busy: Dict[int, int] = {}
-        self._kind_counters: Dict[str, object] = {}
+        self._kind_counts: Dict[str, int] = {}
+        if config.trace_events:
+            engine.sinks.append(self)
 
         # Sampled per-node time tallies, indexed by node id (node ids are
         # list positions in ``engine.nodes``, including churn joins).
@@ -126,27 +174,11 @@ class TelemetryProbe:
         self._busy_time: List[int] = []
         self._starve_time: List[int] = []
 
-        # Contention-solver counter tracks, created on first sample: the
-        # graph engine assigns ``engine.contention`` *after* the base
-        # constructor builds this probe, so the lookup must be lazy.
-        self._contention_series: Optional[tuple] = None
-        # Service-mode counter tracks (open-loop runs only), same lazy
-        # pattern: the driver is attached after probe construction.
-        self._service_series: Optional[tuple] = None
-
     # -------------------------------------------------------------- tap
-    @property
-    def tap(self):
-        """The trace-stream tap, or ``None`` when event tracing is off."""
-        return self if self.config.trace_events else None
-
     def record(self, time, kind: str, node: int, peer=None) -> None:
         """Tracer-interface entry point: one protocol event."""
-        counter = self._kind_counters.get(kind)
-        if counter is None:
-            counter = self.registry.counter(f"events.{kind}")
-            self._kind_counters[kind] = counter
-        counter.value += 1
+        counts = self._kind_counts
+        counts[kind] = counts.get(kind, 0) + 1
         if kind is _trace.COMPUTE_START or kind == _trace.COMPUTE_START:
             self._compute_open[node] = time
         elif kind == _trace.COMPUTE_DONE:
@@ -163,9 +195,23 @@ class TelemetryProbe:
                     self._send_busy.get(node, 0) + time - start)
 
     # ---------------------------------------------------------- sampling
+    def _tracks(self, *names: str) -> tuple:
+        series = self._series
+        for name in names:
+            series[name] = TimeSeries(self.config.max_samples)
+        return tuple(series[name] for name in names)
+
     def start(self) -> None:
-        """Schedule the first sample (called by the engine at t=0)."""
-        self.engine.env.call_in(self._dt, self._sample)
+        """Add the run's contention and service tracks and schedule the
+        first sample (called by the engine at t=0)."""
+        engine = self.engine
+        if getattr(engine, "contention", None) is not None:
+            self._contention_series = self._tracks(
+                "contention_solves", "contention_memo_hits")
+        if engine.service_driver is not None:
+            self._service_series = self._tracks(
+                "service_in_system", "service_admitted", "service_dropped")
+        engine.env.call_in(self._dt, self._sample)
 
     def _sample(self) -> None:
         self.sampler_fires += 1
@@ -177,15 +223,20 @@ class TelemetryProbe:
         held_total = 0
         queue_total = 0
         per_node_on = self.config.per_node_series
-        reg = self.registry
-        cap = self.config.max_samples
         busy_time = self._busy_time
         starve_time = self._starve_time
+        buffer_series = self._buffer_series
+        queue_series = self._queue_series
         nodes = engine.nodes
         if len(busy_time) < len(nodes):  # churn joins grow the platform
             grow = len(nodes) - len(busy_time)
             busy_time.extend([0] * grow)
             starve_time.extend([0] * grow)
+            if per_node_on:
+                cap = self.config.max_samples
+                for _ in range(grow):
+                    buffer_series.append(TimeSeries(cap))
+                    queue_series.append(TimeSeries(cap))
         for i, agent in enumerate(nodes):
             held = agent.tasks_held
             held_total += held
@@ -198,35 +249,24 @@ class TelemetryProbe:
                 # root this only happens once the repository is empty).
                 starve_time[i] += dt
             if per_node_on:
-                reg.series("buffer_occupancy", node=i,
-                           max_samples=cap).append(now, held)
-                reg.series("queue_depth", node=i,
-                           max_samples=cap).append(now, agent.child_requests)
+                buffer_series[i].append(now, held)
+                queue_series[i].append(now, agent.child_requests)
 
-        manager = getattr(engine, "contention", None)
-        if manager is not None:
-            tracks = self._contention_series
-            if tracks is None:
-                tracks = self._contention_series = (
-                    reg.series("contention_solves", max_samples=cap),
-                    reg.series("contention_memo_hits", max_samples=cap))
+        tracks = self._contention_series
+        if tracks is not None:
+            manager = engine.contention
             tracks[0].append(
                 now, manager.settles_full + manager.settles_incremental)
             tracks[1].append(now, manager.memo_hits)
 
-        driver = getattr(engine, "service_driver", None)
-        if driver is not None:
-            tracks = self._service_series
-            if tracks is None:
-                tracks = self._service_series = (
-                    reg.series("service_in_system", max_samples=cap),
-                    reg.series("service_admitted", max_samples=cap),
-                    reg.series("service_dropped", max_samples=cap))
+        driver = engine.service_driver
+        tracks = self._service_series
+        if tracks is not None:
             tracks[0].append(now, len(driver.pending))
             tracks[1].append(now, driver.admitted)
             tracks[2].append(now, driver.dropped)
 
-        series = self._global
+        series = self._series
         series["completed"].append(now, engine.completed)
         # The sampler's own firings are excluded so the series matches
         # what an unsampled run would have processed by ``now``.
@@ -257,8 +297,8 @@ class TelemetryProbe:
         makespan = engine.last_completion_time
 
         counters: Dict[str, int] = {
-            name: value for (name, node), value
-            in self.registry.counters().items() if node is None
+            f"events.{kind}": count
+            for kind, count in sorted(self._kind_counts.items())
         }
         counters["completed"] = engine.completed
         counters["preemptions"] = sum(a.preemptions for a in nodes)
@@ -276,7 +316,7 @@ class TelemetryProbe:
 
         # Service-mode tallies (open-loop runs only): admission and
         # latency-fold scalars as ``service.*`` counters.
-        driver = getattr(engine, "service_driver", None)
+        driver = engine.service_driver
         if driver is not None:
             counters["service.offered"] = driver.offered
             counters["service.admitted"] = driver.admitted
@@ -314,13 +354,17 @@ class TelemetryProbe:
         if send_busy:
             per_node["send_busy_time"] = send_busy
 
-        series: Dict[str, SeriesData] = {}
+        series: Dict[str, SeriesData] = {
+            name: data.as_tuples()
+            for name, data in sorted(self._series.items())}
         node_series: Dict[str, Dict[int, SeriesData]] = {}
-        for (name, node), data in self.registry.series_data().items():
-            if node is None:
-                series[name] = data
-            else:
-                node_series.setdefault(name, {})[node] = data
+        if self._buffer_series:
+            node_series["buffer_occupancy"] = {
+                i: data.as_tuples()
+                for i, data in enumerate(self._buffer_series)}
+            node_series["queue_depth"] = {
+                i: data.as_tuples()
+                for i, data in enumerate(self._queue_series)}
 
         if self.config.per_node_series and makespan > 0:
             # Final utilization sample at the makespan: the counter track

@@ -73,7 +73,7 @@ class TestAcceptance:
         engine = ProtocolEngine(figure1_tree(), IC3, 2000,
                                 faults=ACCEPTANCE_FAULTS)
         tracer = Tracer()
-        engine.tracer = tracer
+        engine.sinks.append(tracer)
         engine.run()
         assert tracer.count(trace_mod.CRASH) == 1
         # Node 5's outage, then orphans 3 and 4 parking: the crash took
@@ -155,7 +155,7 @@ class TestRecoverySemantics:
         ])
         engine = ProtocolEngine(figure1_tree(), IC3, 3000, faults=faults)
         tracer = Tracer()
-        engine.tracer = tracer
+        engine.sinks.append(tracer)
         result = engine.run()
         assert len(result.completion_times) == 3000
         assert tracer.count(trace_mod.SUSPECT) >= 1

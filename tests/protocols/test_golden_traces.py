@@ -16,7 +16,7 @@ from repro.protocols import trace as tr
 def traced(tree, config, num_tasks):
     engine = ProtocolEngine(tree, config, num_tasks)
     tracer = Tracer(limit=None)
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
     result = engine.run()
     return result, tracer
 

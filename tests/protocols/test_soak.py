@@ -47,7 +47,7 @@ def soak_engine(watch_calendar):
                             mutations=mutations, churn=churn,
                             record_buffer_timeline=True)
     tracer = Tracer(limit=200_000)
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
 
     checks = [0]
 

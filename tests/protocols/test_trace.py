@@ -16,7 +16,7 @@ from repro.protocols import trace as tr
 def traced_run(tree, config, num_tasks, tracer=None, mutations=None):
     engine = ProtocolEngine(tree, config, num_tasks, mutations=mutations)
     tracer = tracer if tracer is not None else Tracer()
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
     result = engine.run()
     return result, tracer
 

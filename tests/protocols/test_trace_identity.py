@@ -19,7 +19,7 @@ NON_IC = ProtocolConfig.non_interruptible(2, buffer_growth=False)
 def _traced_run(tree, config, num_tasks):
     engine = ProtocolEngine(tree, config, num_tasks)
     tracer = Tracer(kinds=trace_mod.ALL_KINDS, limit=None)
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
     result = engine.run()
     return result, tracer.events
 
@@ -73,20 +73,20 @@ class TestCalendarIdentity:
 
 
 class TestTracerPropagation:
-    """The engine.tracer assigned before run() reaches every agent's
-    cache when the run starts."""
+    """A tracer appended to engine.sinks before run() reaches every
+    agent's cache when the run starts."""
 
     def test_setter_reaches_all_agents(self):
         engine = ProtocolEngine(figure2a_tree(), IC3, 10)
         tracer = Tracer()
-        engine.tracer = tracer
+        engine.sinks.append(tracer)
         engine.run()
         assert all(agent.tracer is tracer for agent in engine.nodes)
         assert tracer.events
 
         untraced = ProtocolEngine(figure2a_tree(), IC3, 10)
-        untraced.tracer = tracer
-        untraced.tracer = None
+        untraced.sinks.append(tracer)
+        untraced.sinks.remove(tracer)
         untraced.run()
         assert all(agent.tracer is None for agent in untraced.nodes)
 
@@ -99,7 +99,7 @@ class TestTracerPropagation:
                                          subtree=cluster, attach_cost=1)])
         engine = ProtocolEngine(tree, IC3, 200, churn=churn)
         tracer = Tracer(kinds=trace_mod.ALL_KINDS, limit=None)
-        engine.tracer = tracer
+        engine.sinks.append(tracer)
         before = tree.num_nodes
         engine.run()
         joined = engine.nodes[before:]

@@ -189,7 +189,7 @@ class TestGuards:
 
     def test_tracer_disables_warp(self):
         engine = ProtocolEngine(figure2a_tree(), IC3_WARP, 1000)
-        engine.tracer = Tracer()
+        engine.sinks.append(Tracer())
         result = engine.run()
         assert not result.warp.applied
         assert result.warp.reason == "disabled: tracing active"

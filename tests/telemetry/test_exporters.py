@@ -22,7 +22,7 @@ def traced_run():
                      telemetry=TelemetryConfig.tracing(sample_dt=10))
     engine = ProtocolEngine(tree, config, 300)
     tracer = Tracer()
-    engine.tracer = tracer
+    engine.sinks.append(tracer)
     result = engine.run()
     return result, tracer
 
@@ -194,3 +194,71 @@ class TestMultiAppTrace:
         meta = [e for e in doc["traceEvents"] if e["name"] == "process_name"]
         assert meta == [{"name": "process_name", "ph": "M", "pid": 0,
                          "args": {"name": "simulation"}}]
+
+
+class TestExportBytesPinned:
+    """The exporters' bytes are part of the format: JSONL records, CSV
+    columns and Perfetto tracks follow the snapshot's key order, so a
+    change to how the probe stores its counters and series must leave
+    every byte where it was."""
+
+    @staticmethod
+    def _digests(snapshots, tracers):
+        import hashlib
+        import io
+
+        def digest(write):
+            out = io.StringIO()
+            write(out)
+            return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+        def traces(out):
+            for snapshot, tracer in zip(snapshots, tracers):
+                write_chrome_trace(out, snapshot, tracer=tracer)
+
+        def csvs(out):
+            for snapshot in snapshots:
+                dump_csv(snapshot, out)
+
+        return (digest(lambda out: dump_jsonl(snapshots, out)),
+                digest(csvs), digest(traces))
+
+    def test_traced_tree(self, traced_run):
+        result, tracer = traced_run
+        assert self._digests([result.telemetry], [tracer]) == (
+            "39061c2233a45a47", "f78842458ced59ba", "3e98242767ed01c3")
+
+    def test_fairshare_apps_carry_contention_tracks(self):
+        from repro import simulate
+        from repro.apps import Application
+
+        tree = generate_tree(TreeGeneratorParams(min_nodes=12, max_nodes=18),
+                             seed=5)
+        config = replace(ProtocolConfig.interruptible(3),
+                         telemetry=TelemetryConfig.tracing(sample_dt=10))
+        tracers = [Tracer(), Tracer()]
+        result = simulate(tree, [Application(60), Application(60)], config,
+                          allocator="fairshare", tracer=tracers)
+        snapshots = [app.telemetry for app in result.apps]
+        assert "contention_solves" in snapshots[0].series
+        assert self._digests(snapshots, tracers) == (
+            "b67eb742e5bffdee", "f7d1bd0fd7d42d3b", "51375ab4df623c08")
+
+    def test_open_loop_day_carries_service_tracks(self):
+        from repro import simulate
+        from repro.apps import Workload
+        from repro.service import DiurnalArrivals, TokenBucket
+
+        tree = generate_tree(TreeGeneratorParams(min_nodes=15, max_nodes=15),
+                             seed=2)
+        workload = Workload(
+            arrivals=DiurnalArrivals(rates=(0.05, 0.4, 0.1), phase_len=300,
+                                     horizon=2400, seed=3),
+            admission=TokenBucket(rate="1/4", burst=16))
+        config = replace(ProtocolConfig.interruptible(3),
+                         telemetry=TelemetryConfig.tracing(sample_dt=10))
+        tracer = Tracer()
+        result = simulate(tree, workload, config, tracer=tracer)
+        assert "service_in_system" in result.telemetry.series
+        assert self._digests([result.telemetry], [tracer]) == (
+            "b9af54a7465b7113", "a2a3f67aeb302c8d", "159d4466d0f67c83")

@@ -151,10 +151,46 @@ class TestSnapshotContents:
                          telemetry=TelemetryConfig.tracing(sample_dt=10))
         engine = ProtocolEngine(tree, config, 300)
         tracer = Tracer()
-        engine.tracer = tracer
+        engine.sinks.append(tracer)
         result = engine.run()
         assert tracer.count(tr.COMPUTE_DONE) == 300
         assert result.telemetry.counters["events.compute-done"] == 300
+
+
+class TestFaultKindsReachEverySink:
+    """Fault-path events (emitted by the engine and the graph fault
+    driver, not the agents) reach the event tap and a user tracer alike."""
+
+    @pytest.mark.parametrize("platform,seed,kinds", [
+        ("leafspine", 11, {"reroute", "degrade", "crash"}),
+        ("leafspine", 17, {"degrade", "reclaim", "link-down"}),
+        ("tree", 0, {"crash", "reclaim", "link-down", "link-up",
+                     "mutation"}),
+    ])
+    def test_tracer_and_tap_count_every_kind(self, platform, seed, kinds):
+        from repro.platform import generate_platform
+        from repro.platform.faults import chaos_schedule
+        from repro.platform.mutation import Mutation, MutationSchedule
+        from repro.protocols import Tracer
+        from repro.protocols.trace import ALL_KINDS
+
+        mutations = None
+        if platform == "tree":
+            platform = generate_tree(TreeGeneratorParams(), seed=7)
+            mutations = MutationSchedule(
+                [Mutation(node=1, attribute="w", value=5, at_time=40)])
+        else:
+            platform = generate_platform(platform, seed=7)
+        config = replace(ProtocolConfig.interruptible(3),
+                         telemetry=TelemetryConfig.tracing(sample_dt=10))
+        tracer = Tracer(kinds=ALL_KINDS, limit=None)
+        result = simulate(platform, 300, config, tracer=tracer,
+                          faults=chaos_schedule(platform, seed=seed),
+                          mutations=mutations)
+        counters = result.telemetry.counters
+        assert all(tracer.count(kind) for kind in kinds)
+        for kind in ALL_KINDS:
+            assert tracer.count(kind) == counters.get(f"events.{kind}", 0)
 
 
 class TestConfigValidation:

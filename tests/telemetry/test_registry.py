@@ -1,18 +1,8 @@
-"""Tests for the metrics registry and its instruments."""
+"""Tests for the telemetry probe's storage: series and snapshot key order."""
 
-import pytest
+from dataclasses import replace
 
-from repro.errors import ReproError
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.registry import Counter, TimeSeries
-
-
-class TestInstruments:
-    def test_counter_increments(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
+from repro.telemetry import TimeSeries
 
 
 class TestTimeSeries:
@@ -44,39 +34,33 @@ class TestTimeSeries:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        assert reg.counter("x", node=1) is not reg.counter("x")
-
-    def test_type_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ReproError):
-            reg.series("x")
-        reg.series("y")
-        with pytest.raises(ReproError):
-            reg.counter("y")
-
     def test_items_deterministic_order(self):
-        reg = MetricsRegistry()
-        reg.counter("b", node=2)
-        reg.counter("b")
-        reg.counter("a", node=0)
-        keys = [key for key, _ in reg.items()]
-        assert keys == [("a", 0), ("b", None), ("b", 2)]
+        """Snapshot keys come out in one order whatever the run touched
+        first: event counts by name, then the run totals, then the
+        contention counters; series by name; per-node series by name,
+        nodes ascending, with the final utilization track last."""
+        from repro import simulate
+        from repro.apps import Application
+        from repro.platform.generator import TreeGeneratorParams, generate_tree
+        from repro.protocols import ProtocolConfig
+        from repro.telemetry import TelemetryConfig
 
-    def test_counters_and_series_data_views(self):
-        reg = MetricsRegistry()
-        reg.counter("events").inc(7)
-        reg.series("depth", node=3).append(5, 2.0)
-        assert reg.counters() == {("events", None): 7}
-        assert reg.series_data() == {("depth", 3): ((5,), (2.0,))}
-
-    def test_contains_accepts_bare_name(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        assert "x" in reg
-        assert ("x", None) in reg
-        assert "y" not in reg
-
+        tree = generate_tree(TreeGeneratorParams(min_nodes=8, max_nodes=8),
+                             seed=3)
+        config = replace(ProtocolConfig.interruptible(3),
+                         telemetry=TelemetryConfig.tracing(sample_dt=10))
+        result = simulate(tree, [Application(30), Application(30)], config,
+                          allocator="fairshare")
+        snap = result.apps[0].telemetry
+        keys = list(snap.counters)
+        events = [k for k in keys if k.startswith("events.")]
+        assert events == sorted(events) and keys[:len(events)] == events
+        rest = keys[len(events):]
+        assert rest[:4] == ["completed", "preemptions", "transfers", "samples"]
+        assert rest[4:] and all(k.startswith("contention.") for k in rest[4:])
+        assert list(snap.series) == sorted(snap.series)
+        assert "contention_solves" in snap.series
+        assert list(snap.node_series) == [
+            "buffer_occupancy", "queue_depth", "cpu_util"]
+        for per_node in snap.node_series.values():
+            assert list(per_node) == list(range(snap.num_nodes))

@@ -116,6 +116,13 @@ def test_fig4_configs_load_no_numpy():
     assert _offenders(modules, ("numpy", "repro.harness")) == []
 
 
+def test_fig4_configs_load_no_steady_state():
+    """The protocol list alone does not pay for the Theorem 1 solver;
+    only running a case imports it."""
+    modules = _loaded("from repro.experiments.fig4 import FIG4_CONFIGS")
+    assert _offenders(modules, ("repro.steady_state",)) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["simulate", "--topology", "star", "--seed", "3", "--tasks", "200"],
